@@ -124,18 +124,35 @@ fn load_model(path: &Path) -> Option<(SynpaModel, [f64; 3])> {
 ///
 /// `SYNPA_THREADS` pins the worker count for CI and tests; unset or empty
 /// falls back to `available_parallelism`. Malformed values (`0`, `1O`,
-/// `lots`) abort with the accepted format instead of being silently
-/// ignored — an explicit pin that doesn't take effect would skew every
-/// measurement it was meant to control, exactly like an unknown
-/// `SYNPA_ENGINE` name. Parsing lives in [`synpa::sim::threads_from_env`]
-/// so the parallel chip engine and the experiment runner agree on the
-/// variable's meaning.
+/// `lots`) abort with the accepted format (see `threads_from_env`).
 pub fn threads() -> usize {
-    synpa::sim::threads_from_env().unwrap_or_else(|| {
+    threads_from_env().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(8)
     })
+}
+
+/// Reads the `SYNPA_THREADS` worker-count override. Returns `None` when
+/// the variable is unset or empty; a malformed value — `SYNPA_THREADS=1O`,
+/// `SYNPA_THREADS=0` — **aborts** with the accepted format: an explicit pin
+/// must never fall back silently, or a mistyped CI pin would quietly unpin
+/// the worker count and thread-count-independence claims would go untested
+/// at the intended count.
+fn threads_from_env() -> Option<usize> {
+    let v = std::env::var("SYNPA_THREADS").ok()?;
+    let v = v.trim();
+    if v.is_empty() {
+        return None;
+    }
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        Ok(_) => panic!("SYNPA_THREADS: worker count must be at least 1, got '{v}'"),
+        Err(_) => panic!(
+            "SYNPA_THREADS: unparseable value '{v}' (expected a positive integer, e.g. \
+             SYNPA_THREADS=4; unset or empty means machine parallelism)"
+        ),
+    }
 }
 
 /// The experiment configuration used by every evaluation binary

@@ -53,7 +53,7 @@ impl MatcherKind {
     /// The `SYNPA_MATCHER` environment override, if set. Whitespace is
     /// trimmed and an empty value means "no override"; an unknown name
     /// aborts with the valid list — an explicit pin must never fall back
-    /// silently (mirrors `SYNPA_ENGINE`).
+    /// silently (mirrors `SYNPA_THREADS`).
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var("SYNPA_MATCHER").ok()?;
         let name = raw.trim();

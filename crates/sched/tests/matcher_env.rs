@@ -1,5 +1,5 @@
 //! `SYNPA_MATCHER` pins the pairing solver for every `Synpa` policy built
-//! afterwards (mirroring `SYNPA_ENGINE` for the simulator engine), so the
+//! afterwards, so the
 //! CI byte-diff wall can run whole experiments under the fresh and the
 //! incremental matcher without code changes.
 //!

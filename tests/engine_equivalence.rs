@@ -1,22 +1,15 @@
-//! Differential test wall for the horizon engines.
+//! Differential test wall for the per-core horizon engine.
 //!
-//! The horizon engines' contract is *bit-identity*: for every seed, chip
-//! size and workload, `EngineKind::Batched` (chip-wide horizon),
-//! `EngineKind::PerCore` (per-core horizons with LLC-epoch rendezvous),
-//! `EngineKind::Burst` (private bursts between shared-state touches, with
-//! parked cycles replayed at their rendezvous epoch) and
-//! `EngineKind::Parallel` (burst-style epochs with the private stretches
-//! sharded across a worker pool) must produce exactly the same PMU
-//! counters, completions, placements and `RunResult`s as the retained
-//! `EngineKind::Reference` cycle-by-cycle loop. The parallel engine is
-//! additionally checked at pinned worker counts (1 = the inline path,
-//! 4 = a real pool), because its contract is worker-count independence,
-//! not just engine equivalence. These tests run all engines side by side
-//! over unit scenarios, full 28-core/56-thread chips, partial-occupancy
-//! and staggered-arrival managed runs, and proptest-randomized demand
-//! mixes — including a compute-bound / private-cache-heavy family (long
-//! private phases, rare LLC touches), the burst engine's best case and
-//! therefore its sharpest differential.
+//! The engine's contract is *bit-identity*: for every seed, chip size and
+//! workload, `EngineKind::PerCore` (per-core horizons with LLC-epoch
+//! rendezvous) must produce exactly the same PMU counters, completions,
+//! placements and `RunResult`s as the retained `EngineKind::Reference`
+//! cycle-by-cycle loop. These tests run both engines side by side over
+//! unit scenarios, full 28-core/56-thread chips, partial-occupancy and
+//! staggered-arrival managed runs, and proptest-randomized demand mixes —
+//! including a compute-bound / private-cache-heavy family (long private
+//! phases, rare LLC touches), where almost every cycle is active and the
+//! rendezvous order carries the whole differential.
 
 use proptest::prelude::*;
 use synpa::prelude::*;
@@ -64,9 +57,8 @@ fn llc_phase() -> PhaseParams {
 
 /// Compute-bound, private-cache-heavy demands: hot code resident in the
 /// L1I, data resident in the private L1/L2, so after warm-up almost every
-/// active cycle is private — the burst engine runs these decoupled from
-/// the global clock and only rendezvouses for the rare LLC touch or a
-/// completion.
+/// active cycle is private and the rare LLC touch or completion lands in
+/// the middle of a long active stretch.
 fn private_phase() -> PhaseParams {
     PhaseParams {
         mem_ratio: 0.25,
@@ -78,26 +70,6 @@ fn private_phase() -> PhaseParams {
         exec_latency: 1,
         mlp: 0.8,
     }
-}
-
-/// Every engine at its default configuration, plus the parallel engine at
-/// pinned worker counts (1 = inline, no pool; 4 = real pool with barrier
-/// epochs), so the wall proves worker-count independence too. Index 0 is
-/// always the reference loop.
-fn engine_variants(cfg: &ChipConfig) -> Vec<(String, ChipConfig)> {
-    let mut v: Vec<(String, ChipConfig)> = EngineKind::ALL
-        .iter()
-        .map(|&e| (e.to_string(), cfg.clone().with_engine(e)))
-        .collect();
-    for workers in [1usize, 4] {
-        v.push((
-            format!("parallel x{workers}"),
-            cfg.clone()
-                .with_engine(EngineKind::Parallel)
-                .with_parallel_workers(workers),
-        ));
-    }
-    v
 }
 
 fn build(cfg: &ChipConfig, apps: &[(PhaseParams, u64)]) -> Chip {
@@ -112,8 +84,8 @@ fn build(cfg: &ChipConfig, apps: &[(PhaseParams, u64)]) -> Chip {
     chip
 }
 
-/// Runs the same chunk schedule under every engine and asserts every
-/// observable matches the reference loop: per-chunk completions, final
+/// Runs the same chunk schedule under both engines and asserts every
+/// observable of the per-core engine matches the reference loop: per-chunk completions, final
 /// cycle, final placement and every field of every thread's PMU. `swap`
 /// optionally exchanges the slots of two apps after the given chunk,
 /// exercising the migration path.
@@ -123,21 +95,15 @@ fn assert_equivalent(
     chunks: &[u64],
     swap: Option<(usize, usize, usize)>,
 ) {
-    let variants = engine_variants(cfg);
-    let mut chips: Vec<Chip> = variants.iter().map(|(_, c)| build(c, apps)).collect();
+    let mut chips = EngineKind::ALL.map(|e| build(&cfg.clone().with_engine(e), apps));
     for (k, &n) in chunks.iter().enumerate() {
-        let mut events = Vec::new();
-        for (chip, (label, _)) in chips.iter_mut().zip(&variants) {
-            events.push((label, chip.run_cycles(n)));
-        }
-        for (label, ev) in &events[1..] {
-            assert_eq!(
-                &events[0].1, ev,
-                "completions diverged from reference in chunk {k} ({label})"
-            );
-        }
-        let cycle = chips[0].cycle();
-        assert!(chips.iter().all(|c| c.cycle() == cycle));
+        let [reference, percore] = &mut chips;
+        assert_eq!(
+            reference.run_cycles(n),
+            percore.run_cycles(n),
+            "completions diverged from reference in chunk {k}"
+        );
+        assert_eq!(reference.cycle(), percore.cycle());
         if let Some((after, a, b)) = swap {
             if after == k && a < apps.len() && b < apps.len() && a != b {
                 for chip in &mut chips {
@@ -148,18 +114,15 @@ fn assert_equivalent(
             }
         }
     }
-    let (reference, others) = chips.split_first().unwrap();
-    for (j, other) in others.iter().enumerate() {
-        let label = &variants[j + 1].0;
-        assert_eq!(reference.placement(), other.placement(), "{label}");
-        for i in 0..apps.len() {
-            assert_eq!(
-                reference.pmu_of(i).unwrap(),
-                other.pmu_of(i).unwrap(),
-                "PMU counters diverged for app {i} ({label})"
-            );
-            assert_eq!(reference.launches_of(i), other.launches_of(i), "{label}");
-        }
+    let [reference, percore] = &chips;
+    assert_eq!(reference.placement(), percore.placement());
+    for i in 0..apps.len() {
+        assert_eq!(
+            reference.pmu_of(i).unwrap(),
+            percore.pmu_of(i).unwrap(),
+            "PMU counters diverged for app {i}"
+        );
+        assert_eq!(reference.launches_of(i), percore.launches_of(i));
     }
 }
 
@@ -183,12 +146,12 @@ fn single_thread_all_profiles() {
 
 #[test]
 fn private_phase_bursts_agree_with_reference() {
-    // The burst engine's best case: long private phases with rare LLC
-    // touches and short launches, so parked completions and parked shared
-    // accesses replay mid-burst many times per run. Mixing a private-heavy
-    // pair against a memory hog on the neighbouring core also checks that
-    // a bursting core never perturbs the rendezvous interleaving of the
-    // cores that do touch shared state.
+    // Long private phases with rare LLC touches and short launches, so
+    // completions and shared accesses land mid-way through long active
+    // stretches many times per run. Mixing a private-heavy pair against a
+    // memory hog on the neighbouring core also checks that a busy private
+    // core never perturbs the rendezvous interleaving of the cores that do
+    // touch shared state.
     assert_equivalent(
         &ChipConfig::thunderx2(1),
         &[(private_phase(), 8_000), (private_phase(), 11_000)],
@@ -284,37 +247,9 @@ fn thunderx2_full_56_threads() {
     );
 }
 
-/// Non-reference engine configurations for managed-run fingerprints:
-/// every engine at its default, plus the parallel engine pinned to 1 and
-/// 4 workers (the contract is worker-count independence, and pinning
-/// keeps the tests deterministic regardless of the machine or any
-/// `SYNPA_THREADS` value in the environment).
-fn fingerprint_variants() -> Vec<(String, EngineKind, Option<usize>)> {
-    let mut v: Vec<(String, EngineKind, Option<usize>)> = EngineKind::ALL[1..]
-        .iter()
-        .map(|&e| (e.to_string(), e, None))
-        .collect();
-    for workers in [1usize, 4] {
-        v.push((
-            format!("parallel x{workers}"),
-            EngineKind::Parallel,
-            Some(workers),
-        ));
-    }
-    v
-}
-
-fn chip_cfg(cores: u32, engine: EngineKind, workers: Option<usize>) -> ChipConfig {
-    let cfg = ChipConfig::thunderx2(cores).with_engine(engine);
-    match workers {
-        Some(w) => cfg.with_parallel_workers(w),
-        None => cfg,
-    }
-}
-
 /// `Debug` output prints every field (f64s in shortest-round-trip form),
 /// so equal strings mean bit-identical run results.
-fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64) -> String {
+fn run_fingerprint(engine: EngineKind, policy_seed: u64) -> String {
     let names = [
         "mcf",
         "xalancbmk_r",
@@ -331,7 +266,7 @@ fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64)
         .collect();
     let solo = vec![1.0; 8];
     let cfg = ManagerConfig {
-        chip: chip_cfg(4, engine, workers),
+        chip: ChipConfig::thunderx2(4).with_engine(engine),
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
@@ -343,10 +278,10 @@ fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64)
 fn managed_workload_run_is_bit_identical() {
     // RandomPairing migrates threads every quantum, so this covers the
     // whole manager loop: sampling, placement changes, completions.
-    let reference = run_fingerprint(EngineKind::Reference, None, 7);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(reference, run_fingerprint(engine, workers, 7), "{label}");
-    }
+    assert_eq!(
+        run_fingerprint(EngineKind::Reference, 7),
+        run_fingerprint(EngineKind::PerCore, 7)
+    );
 }
 
 /// Fingerprint of a managed run with partial occupancy and/or staggered
@@ -354,7 +289,6 @@ fn managed_workload_run_is_bit_identical() {
 /// skips whole cores for long stretches).
 fn arrivals_fingerprint(
     engine: EngineKind,
-    workers: Option<usize>,
     names: &[&str],
     arrivals: &[u64],
     cores: u32,
@@ -366,7 +300,7 @@ fn arrivals_fingerprint(
         .collect();
     let solo = vec![1.0; apps.len()];
     let cfg = ManagerConfig {
-        chip: chip_cfg(cores, engine, workers),
+        chip: ChipConfig::thunderx2(cores).with_engine(engine),
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
@@ -379,30 +313,22 @@ fn partial_occupancy_managed_run_is_bit_identical() {
     // 4 apps on a 4-core/8-thread chip: half the cores are empty all run,
     // exactly where the per-core engine elides the most.
     let names = ["mcf", "gobmk", "hmmer", "astar"];
-    let reference = arrivals_fingerprint(EngineKind::Reference, None, &names, &[], 4, 3);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(
-            reference,
-            arrivals_fingerprint(engine, workers, &names, &[], 4, 3),
-            "{label}"
-        );
-    }
+    assert_eq!(
+        arrivals_fingerprint(EngineKind::Reference, &names, &[], 4, 3),
+        arrivals_fingerprint(EngineKind::PerCore, &names, &[], 4, 3)
+    );
 }
 
 #[test]
 fn phase_shifted_managed_run_is_bit_identical() {
     // Three two-app waves on a 4-core chip: cores fill in waves and the
-    // thread count changes mid-run (attach path under every engine).
+    // thread count changes mid-run (attach path under both engines).
     let names = ["mcf", "xalancbmk_r", "gobmk", "perlbench", "nab_r", "hmmer"];
     let arrivals = [0, 0, 20_000, 20_000, 45_000, 45_000];
-    let reference = arrivals_fingerprint(EngineKind::Reference, None, &names, &arrivals, 4, 9);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(
-            reference,
-            arrivals_fingerprint(engine, workers, &names, &arrivals, 4, 9),
-            "{label}"
-        );
-    }
+    assert_eq!(
+        arrivals_fingerprint(EngineKind::Reference, &names, &arrivals, 4, 9),
+        arrivals_fingerprint(EngineKind::PerCore, &names, &arrivals, 4, 9)
+    );
 }
 
 fn arb_phase() -> impl Strategy<Value = PhaseParams> {
@@ -437,8 +363,8 @@ proptest! {
     // the chip-level proptest below.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Managed runs over randomized occupancy and arrival waves: every
-    // engine must agree on the whole `RunResult` when the chip is
+    // Managed runs over randomized occupancy and arrival waves: both
+    // engines must agree on the whole `RunResult` when the chip is
     // underfilled and threads arrive in staggered even waves.
     #[test]
     fn engines_agree_on_partial_and_staggered_runs(
@@ -457,24 +383,17 @@ proptest! {
         let names: Vec<&str> = (0..n).map(|k| pool[(app_pick + 3 * k) % pool.len()]).collect();
         // Waves of two apps each, `wave_gap` cycles apart.
         let arrivals: Vec<u64> = (0..n).map(|k| (k / 2) as u64 * wave_gap).collect();
-        let reference = arrivals_fingerprint(
-            EngineKind::Reference, None, &names, &arrivals, cores, policy_seed);
-        for (label, engine, workers) in fingerprint_variants() {
-            prop_assert_eq!(
-                &reference,
-                &arrivals_fingerprint(engine, workers, &names, &arrivals, cores, policy_seed),
-                "{}", label
-            );
-        }
+        prop_assert_eq!(
+            arrivals_fingerprint(EngineKind::Reference, &names, &arrivals, cores, policy_seed),
+            arrivals_fingerprint(EngineKind::PerCore, &names, &arrivals, cores, policy_seed)
+        );
     }
 }
 
 /// Compute-bound / private-cache-heavy demands: footprints that fit the
-/// private L1/L2, mostly-hot code, modest memory ratios. Long private
-/// phases with rare LLC touches are exactly what the burst engine runs
-/// decoupled from the global clock, so this family concentrates the
-/// differential pressure on the probe's park decisions (the generic
-/// `arb_phase` only rarely lands in this corner).
+/// private L1/L2, mostly-hot code, modest memory ratios: long private
+/// phases with rare LLC touches, a corner the generic `arb_phase` only
+/// rarely lands in.
 fn arb_private_phase() -> impl Strategy<Value = PhaseParams> {
     (
         0.0f64..0.35,  // mem_ratio
@@ -526,10 +445,9 @@ proptest! {
         );
     }
 
-    // The burst engine's best case, randomized: private-cache-heavy mixes
-    // with short launches, so bursts regularly park for completions and
-    // for the occasional cold-line LLC walk, across chip sizes and
-    // mid-run migrations.
+    // Private-cache-heavy mixes with short launches, so completions and
+    // the occasional cold-line LLC walk interrupt long active stretches,
+    // across chip sizes and mid-run migrations.
     #[test]
     fn engines_agree_on_private_heavy_workloads(
         phases in proptest::collection::vec(arb_private_phase(), 1..8),
