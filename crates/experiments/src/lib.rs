@@ -123,30 +123,21 @@ fn load_model(path: &Path) -> Option<(SynpaModel, [f64; 3])> {
 /// Worker threads for parallel runs.
 ///
 /// `SYNPA_THREADS` pins the worker count for CI and tests; unset or empty
-/// falls back to `available_parallelism`. Malformed values (`0`, `1O`,
-/// `lots`) abort with the accepted format (see `threads_from_env`).
+/// falls back to `available_parallelism`. A malformed value — `0`, `1O`,
+/// `lots` — **aborts** with the accepted format: an explicit pin must
+/// never fall back silently, or a mistyped CI pin would quietly unpin the
+/// worker count and thread-count-independence claims would go untested at
+/// the intended count.
 pub fn threads() -> usize {
-    threads_from_env().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8)
-    })
-}
-
-/// Reads the `SYNPA_THREADS` worker-count override. Returns `None` when
-/// the variable is unset or empty; a malformed value — `SYNPA_THREADS=1O`,
-/// `SYNPA_THREADS=0` — **aborts** with the accepted format: an explicit pin
-/// must never fall back silently, or a mistyped CI pin would quietly unpin
-/// the worker count and thread-count-independence claims would go untested
-/// at the intended count.
-fn threads_from_env() -> Option<usize> {
-    let v = std::env::var("SYNPA_THREADS").ok()?;
+    let v = std::env::var("SYNPA_THREADS").unwrap_or_default();
     let v = v.trim();
     if v.is_empty() {
-        return None;
+        return std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(8);
     }
     match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
+        Ok(n) if n >= 1 => n,
         Ok(_) => panic!("SYNPA_THREADS: worker count must be at least 1, got '{v}'"),
         Err(_) => panic!(
             "SYNPA_THREADS: unparseable value '{v}' (expected a positive integer, e.g. \

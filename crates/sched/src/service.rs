@@ -190,7 +190,7 @@ impl ServiceResult {
 /// or at `cfg.manager.max_quanta` (overload cap).
 ///
 /// Deterministic: same trace, same config ⇒ byte-identical result, for
-/// every engine and worker count (the engines are byte-equivalent and no
+/// both engines and any worker count (the engines are byte-equivalent and no
 /// scheduling decision depends on wall clock).
 pub fn run_service(
     apps: &[AppProfile],
