@@ -5,10 +5,10 @@
 //! quantum boundary [`ChipFaultDriver::apply`] draws the per-core events,
 //! evacuates residents of failing cores, takes the cores out of service
 //! (and returns transients to it), and derates throttled cores. Which apps
-//! were stranded is returned to the caller — the closed-batch manager
-//! re-queues them for admission, the open-system service routes them
-//! through its capped-retry machinery. See `docs/robustness.md` for the
-//! full taxonomy and recovery rules.
+//! were stranded is returned to the caller, the scheduler loop
+//! (`crate::scheduler`): the closed batch re-places them ahead of new
+//! arrivals, the open system routes them through its capped retry. See
+//! `docs/robustness.md` for the full taxonomy and recovery rules.
 
 use synpa_sim::{Chip, ChipFaultConfig, ChipFaultPlan, CoreFault};
 
@@ -68,9 +68,6 @@ pub(crate) struct ChipFaultDriver {
     down_until: Vec<u64>,
     /// Cores already derated (a core throttles at most once).
     throttled: Vec<bool>,
-    /// Core-side fault accounting (the app-side fields stay zero here;
-    /// the service merges its own recovery counters in).
-    pub stats: ChipFaultStats,
 }
 
 impl ChipFaultDriver {
@@ -79,28 +76,33 @@ impl ChipFaultDriver {
             plan: ChipFaultPlan::new(cfg),
             down_until: vec![0; cores],
             throttled: vec![false; cores],
-            stats: ChipFaultStats::default(),
         }
     }
 
-    /// The underlying pure plan (the service also draws per-app execution
-    /// faults from it).
+    /// The underlying pure plan (the open system also draws per-app
+    /// execution faults from it).
     pub fn plan(&self) -> &ChipFaultPlan {
         &self.plan
     }
 
     /// Advances the fault state one quantum boundary: revives due
     /// transients, draws this quantum's per-core events, evacuates and
-    /// offlines failing cores, derates throttled ones. Returns the ids of
-    /// the evacuated apps in ascending order; their threads are gone
-    /// (progress censored, never fabricated) and the caller decides
-    /// whether and when they run again.
+    /// offlines failing cores, derates throttled ones, and counts the
+    /// core-side events into `stats`. Returns the ids of the evacuated
+    /// apps in ascending order; their threads are gone (progress censored,
+    /// never fabricated) and the caller decides whether and when they run
+    /// again.
     ///
     /// Availability floor: the last in-service core never fails — a chip
     /// with zero capacity could neither finish nor honestly account for
     /// the work it accepted, and real fleets drain a failing node rather
     /// than run it to zero.
-    pub fn apply(&mut self, chip: &mut Chip, quantum: u64) -> Vec<usize> {
+    pub fn apply(
+        &mut self,
+        chip: &mut Chip,
+        quantum: u64,
+        stats: &mut ChipFaultStats,
+    ) -> Vec<usize> {
         // Revive transients whose outage expired.
         for core in 0..self.down_until.len() {
             let due = self.down_until[core];
@@ -132,11 +134,11 @@ impl ChipFaultDriver {
                     chip.set_core_offline(core);
                     self.down_until[core] = match fault {
                         CoreFault::Offline => {
-                            self.stats.cores_offlined += 1;
+                            stats.cores_offlined += 1;
                             u64::MAX
                         }
                         CoreFault::Transient { down } => {
-                            self.stats.cores_transient += 1;
+                            stats.cores_transient += 1;
                             quantum + down
                         }
                         CoreFault::Throttled => unreachable!("matched above"),
@@ -146,7 +148,7 @@ impl ChipFaultDriver {
                     self.throttled[core] = true;
                     let width = chip.config().core.dispatch_width;
                     chip.set_core_width_limit(core, Some((width / 2).max(1)));
-                    self.stats.cores_throttled += 1;
+                    stats.cores_throttled += 1;
                 }
                 // Already-throttled cores redrawing Throttled, and quanta
                 // with no event at all.
@@ -154,7 +156,7 @@ impl ChipFaultDriver {
             }
         }
         evacuees.sort_unstable();
-        self.stats.apps_evacuated += evacuees.len() as u64;
+        stats.apps_evacuated += evacuees.len() as u64;
         evacuees
     }
 }
@@ -170,10 +172,11 @@ mod tests {
         let chip_cfg = ChipConfig::thunderx2(4);
         let mut chip = Chip::new(chip_cfg);
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = ChipFaultStats::default();
         for q in 0..200 {
-            assert!(drv.apply(&mut chip, q).is_empty());
+            assert!(drv.apply(&mut chip, q, &mut stats).is_empty());
         }
-        assert_eq!(drv.stats, ChipFaultStats::default());
+        assert_eq!(stats, ChipFaultStats::default());
         assert_eq!(chip.available_cores(), 4);
     }
 
@@ -183,12 +186,13 @@ mod tests {
         let chip_cfg = ChipConfig::thunderx2(4);
         let mut chip = Chip::new(chip_cfg);
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = ChipFaultStats::default();
         for q in 0..500 {
-            drv.apply(&mut chip, q);
+            drv.apply(&mut chip, q, &mut stats);
             assert!(chip.available_cores() >= 1, "floor violated at quantum {q}");
         }
         assert!(
-            drv.stats.cores_offlined + drv.stats.cores_transient > 0,
+            stats.cores_offlined + stats.cores_transient > 0,
             "a rate-1.0 plan must take cores down"
         );
     }
@@ -202,10 +206,11 @@ mod tests {
         let cfg = ChipFaultConfig::uniform(11, 1.0);
         let mut chip = Chip::new(ChipConfig::thunderx2(4));
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = ChipFaultStats::default();
         let mut saw_revival = false;
         for q in 0..500 {
             let before = chip.availability();
-            drv.apply(&mut chip, q);
+            drv.apply(&mut chip, q, &mut stats);
             let after = chip.availability();
             for c in 0..4 {
                 assert_eq!(
@@ -219,7 +224,7 @@ mod tests {
             }
         }
         assert!(
-            drv.stats.cores_transient > 0 && saw_revival,
+            stats.cores_transient > 0 && saw_revival,
             "a rate-1.0 plan over 500 quanta must exercise a transient revival"
         );
     }

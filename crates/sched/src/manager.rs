@@ -1,20 +1,21 @@
-//! The quantum manager: the reproduction of the paper's user-level thread
-//! manager (§V-A).
+//! The closed batch: the paper's evaluation methodology (§V-B) on top of
+//! the quantum loop in [`crate::scheduler`] (the §V-A manager).
 //!
-//! Owns the chip, places the workload's applications, and at every quantum
-//! boundary reads the PMU deltas, logs the characterization (the raw
-//! material for Figs. 6/7 and Table V), asks the policy for a placement and
-//! applies it. The §V-B methodology is built in: each application runs to a
-//! target instruction count and is relaunched immediately so the machine
-//! load stays constant; the workload is finished when the slowest
-//! application completes its first launch.
+//! Each application runs to a target instruction count and is relaunched
+//! immediately so the machine load stays constant; the workload is
+//! finished when the slowest application completes its first launch. This
+//! module owns the batch's configuration and result types and the two
+//! entry points; at every quantum boundary the scheduler reads the PMU
+//! deltas, logs the characterization (the raw material for Figs. 6/7 and
+//! Table V), asks the policy for a placement and applies it.
 
-use crate::chipfaults::{ChipFaultDriver, ChipFaultStats};
-use crate::policy::{Policy, QuantumView};
+use crate::chipfaults::ChipFaultStats;
+use crate::policy::Policy;
+use crate::scheduler::{Mode, Outcome, Scheduler};
 use synpa_apps::AppProfile;
-use synpa_counters::{FaultConfig, FaultInjector, FaultKind, InjectedCounts, SanitizingSession};
+use synpa_counters::{FaultConfig, FaultKind, InjectedCounts};
 use synpa_model::Categories;
-use synpa_sim::{Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
+use synpa_sim::{ChipConfig, ChipFaultConfig};
 
 /// One application's per-quantum log row.
 #[derive(Debug, Clone, Copy)]
@@ -221,147 +222,6 @@ pub fn run_workload(
     run_workload_with_arrivals(apps, solo_ipc, policy, cfg, &[])
 }
 
-/// First free hardware-thread slot in (context, core) order: arriving apps
-/// fill context 0 of every core before any core runs two threads. With
-/// every app arriving at cycle 0 this reproduces the classic arrival-order
-/// placement (app *k* on ctx 0 of core *k*, app *k + n/2* on ctx 1 of core
-/// *k*); mid-run it is the "place on an idle core first" behaviour of a
-/// load-balancing OS. `None` means the chip is full — the caller keeps the
-/// app pending until a slot frees (the admission primitive shared by the
-/// closed-batch manager and the open-system [`crate::service`]). Cores out
-/// of service are skipped: a slot on an offlined core is not free capacity.
-pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
-    let smt = chip.config().core.smt_ways as usize;
-    let cores = chip.config().cores as usize;
-    let occupied: std::collections::HashSet<usize> =
-        chip.placement().iter().map(|&(_, s)| s.0).collect();
-    for ctx in 0..smt {
-        for core in 0..cores {
-            if !chip.core_available(core) {
-                continue;
-            }
-            let slot = Slot(core * smt + ctx);
-            if !occupied.contains(&slot.0) {
-                return Some(slot);
-            }
-        }
-    }
-    None
-}
-
-/// Appends one [`QuantumRow`] per sampled app to `trace` (the Fig. 6/7 and
-/// Table V raw material). Shared by the closed-batch manager and any
-/// front end that wants the same per-quantum characterization log.
-pub(crate) fn log_quantum(
-    trace: &mut Vec<QuantumRow>,
-    quantum: u64,
-    samples: &[(usize, synpa_sim::PmuDelta)],
-    placement: &[(usize, Slot)],
-    smt: usize,
-    width: u32,
-) {
-    let co_runner_of = |app: usize| -> usize {
-        let slot = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
-        let core = slot.core(smt);
-        placement
-            .iter()
-            .find(|&&(a, s)| a != app && s.core(smt) == core)
-            .map(|&(a, _)| a)
-            .unwrap_or(app)
-    };
-    for &(app, ref delta) in samples {
-        trace.push(QuantumRow {
-            quantum,
-            app,
-            categories: Categories::from_delta(delta, width),
-            co_runner: co_runner_of(app),
-            retired: delta.inst_retired,
-            cycles: delta.cpu_cycles,
-        });
-    }
-}
-
-/// Builds the [`QuantumView`], asks `policy` for a placement, counts core
-/// changes into `migrations` and applies the decision. The per-quantum
-/// decision step shared by [`run_workload_with_arrivals`] and the
-/// open-system [`crate::service`].
-#[allow(clippy::too_many_arguments)] // the args are the QuantumView fields
-pub(crate) fn decide_and_apply(
-    chip: &mut Chip,
-    policy: &mut dyn Policy,
-    quantum: u64,
-    samples: &[(usize, synpa_sim::PmuDelta)],
-    degraded: &[usize],
-    placement: &[(usize, Slot)],
-    availability: &[bool],
-    evacuated: usize,
-    migrations: &mut u64,
-) {
-    let smt = chip.config().core.smt_ways as usize;
-    let view = QuantumView {
-        quantum,
-        samples,
-        placement,
-        smt_ways: smt,
-        dispatch_width: chip.config().core.dispatch_width,
-        degraded,
-        availability,
-        evacuated,
-    };
-    if let Some(new_placement) = policy.decide(&view) {
-        for &(app, new_slot) in &new_placement {
-            let old = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
-            if old.core(smt) != new_slot.core(smt) {
-                *migrations += 1;
-            }
-        }
-        chip.set_placement(&new_placement);
-    }
-}
-
-/// One quantum's sanitized sampling pass, optionally through the fault
-/// injector. Shared by the closed-batch manager and the open-system
-/// service so both read the chip through exactly the same fault/sanitize
-/// stack.
-pub(crate) fn sample_sanitized(
-    session: &mut SanitizingSession,
-    injector: Option<&mut FaultInjector>,
-    chip: &Chip,
-    ids: &[usize],
-    quantum: u64,
-) -> synpa_counters::SanitizedQuantum {
-    match injector {
-        Some(inj) => {
-            inj.begin_quantum(quantum);
-            let src = inj.wrap(chip);
-            session.sample(&src, ids, quantum)
-        }
-        None => session.sample(chip, ids, quantum),
-    }
-}
-
-/// Assembles the end-of-run [`DegradedStats`] from the sanitizer ledger,
-/// the injector counters and the policy guardrails.
-pub(crate) fn degraded_stats(
-    session: &SanitizingSession,
-    injector: Option<&FaultInjector>,
-    quanta_degraded: u64,
-    policy: &dyn Policy,
-) -> DegradedStats {
-    let totals = session.totals();
-    let guard = policy.guardrail_stats().unwrap_or_default();
-    DegradedStats {
-        samples_ok: totals.ok,
-        samples_clamped: totals.clamped,
-        samples_held: totals.held,
-        samples_missing: totals.missing,
-        quanta_degraded,
-        injected: injector.map(|i| i.injected()).unwrap_or_default(),
-        fallback_entries: guard.fallback_entries,
-        fallback_quanta: guard.fallback_quanta,
-    }
-}
-
 /// [`run_workload`] with per-app arrival cycles (`arrivals[k]` for app *k*;
 /// an empty slice means everyone arrives at cycle 0). Any other length
 /// mismatch panics — a truncated arrival list would otherwise silently run
@@ -396,165 +256,16 @@ pub fn run_workload_with_arrivals(
          (pass one arrival cycle per app, or an empty slice for all-at-0)",
         arrivals.len()
     );
-    let arrival = |k: usize| arrivals.get(k).copied().unwrap_or(0);
-    let smt = cfg.chip.core.smt_ways as usize;
-    let width = cfg.chip.core.dispatch_width;
-
-    let mut chip = Chip::new(cfg.chip.clone());
-    // Pending arrivals in (cycle, index) order, consumed through a cursor —
-    // `remove(0)` would be O(n²) over a long arrival trace.
-    let mut pending: Vec<usize> = (0..n).collect();
-    pending.sort_by_key(|&k| (arrival(k), k));
-    let mut next_pending = 0usize;
-
-    let mut session = SanitizingSession::new().with_cycle_bound(cfg.quantum_cycles);
-    let mut injector = cfg.faults.as_ref().map(FaultInjector::new);
-    let mut chip_driver = cfg
-        .chip_faults
-        .as_ref()
-        .map(|fc| ChipFaultDriver::new(fc, cfg.chip.cores as usize));
-    // Apps stranded by a core outage, waiting to be re-placed. They keep
-    // their original arrival and attachment times; the instructions their
-    // lost thread had retired are censored, never credited back.
-    let mut evac_pending: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut trace = Vec::new();
-    let mut tt: Vec<Option<u64>> = vec![None; n];
-    let mut attached_at: Vec<Option<u64>> = vec![None; n];
-    let mut migrations = 0u64;
-    let mut quantum = 0u64;
-    let mut quanta_degraded = 0u64;
-
-    while quantum < cfg.max_quanta && tt.iter().any(|t| t.is_none()) {
-        // Execution faults first: the fault plan may take cores out of
-        // service at this boundary, stranding their residents. Evacuees
-        // re-enter placement ahead of new arrivals (they are older).
-        let mut evacuated_now = 0usize;
-        if let Some(drv) = chip_driver.as_mut() {
-            for app in drv.apply(&mut chip, quantum) {
-                session.forget(app);
-                evac_pending.push_back(app);
-                evacuated_now += 1;
-            }
-        }
-        while let Some(&k) = evac_pending.front() {
-            let Some(slot) = first_free_slot(&chip) else {
-                break;
-            };
-            evac_pending.pop_front();
-            chip.attach(slot, k, Box::new(apps[k].clone()));
-        }
-        // Attach every due app there is room for (at cycle 0 this is the
-        // whole workload in the classic methodology). A due app that finds
-        // the chip full stays pending; admission is strictly FIFO, so apps
-        // behind it wait too.
-        while next_pending < n {
-            let k = pending[next_pending];
-            if arrival(k) > chip.cycle() {
-                break;
-            }
-            let Some(slot) = first_free_slot(&chip) else {
-                break;
-            };
-            chip.attach(slot, k, Box::new(apps[k].clone()));
-            attached_at[k] = Some(chip.cycle());
-            next_pending += 1;
-        }
-        // Absolute quantum boundaries: the engine (reference or percore,
-        // per `cfg.chip.engine`) advances to exactly this cycle.
-        let events = chip.run_until((quantum + 1) * cfg.quantum_cycles);
-        for ev in events {
-            if ev.launch == 0 && tt[ev.app_id].is_none() {
-                tt[ev.app_id] = Some(ev.cycle - arrival(ev.app_id));
-            }
-        }
-        // Sample only the apps actually on the chip, in ascending-id order
-        // (the same rows the plain session produced by skipping unplaced
-        // ids). Unplaced apps must never reach the sanitizer: a held-over
-        // row for an app with no slot would poison the characterization
-        // log and the policy view.
-        let placement = chip.placement();
-        let mut ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
-        ids.sort_unstable();
-        let sanitized = sample_sanitized(&mut session, injector.as_mut(), &chip, &ids, quantum);
-        if !sanitized.is_clean() {
-            quanta_degraded += 1;
-        }
-        log_quantum(
-            &mut trace,
-            quantum,
-            &sanitized.samples,
-            &placement,
-            smt,
-            width,
-        );
-        // An empty availability mask is the healthy fast path (policies
-        // treat it as all-available); only faulted runs pay for the mask.
-        let availability = if chip_driver.is_some() {
-            chip.availability()
-        } else {
-            Vec::new()
-        };
-        decide_and_apply(
-            &mut chip,
-            policy,
-            quantum,
-            &sanitized.samples,
-            &sanitized.degraded,
-            &placement,
-            &availability,
-            evacuated_now,
-            &mut migrations,
-        );
-        quantum += 1;
-    }
-
-    // End-of-run accounting. An app the cap cut off mid-flight reports its
-    // censored elapsed time and its *measured* partial-launch IPC; an app
-    // that never reached the chip (arrived after the cap, or kept pending
-    // by a full chip) reports zeroes. Both are flagged `completed: false` —
-    // the old behaviour fabricated `ipc = length / clamp(TT, 1)`, which
-    // rewarded exactly the apps that did the least work.
-    let end_cycle = chip.cycle();
-    let per_app = apps
-        .iter()
-        .enumerate()
-        .map(|(k, app)| {
-            let (tt_cycles, ipc, completed) = match (tt[k], attached_at[k]) {
-                (Some(t), _) => (t, app.length() as f64 / t.max(1) as f64, true),
-                (None, Some(at)) => {
-                    let retired = chip.pmu_of(k).map(|p| p.inst_retired).unwrap_or(0);
-                    let on_chip = end_cycle.saturating_sub(at).max(1);
-                    (
-                        end_cycle.saturating_sub(arrival(k)),
-                        retired as f64 / on_chip as f64,
-                        false,
-                    )
-                }
-                (None, None) => (0, 0.0, false),
-            };
-            AppResult {
-                app: k,
-                name: app.name().to_string(),
-                target: app.length(),
-                tt_cycles,
-                ipc,
-                solo_ipc: solo_ipc[k],
-                completed,
-            }
-        })
-        .collect::<Vec<_>>();
-    RunResult {
-        policy: policy.name().to_string(),
-        tt_cycles: per_app.iter().map(|a| a.tt_cycles).max().unwrap_or(0),
-        capped: per_app.iter().any(|a| !a.completed),
-        per_app,
-        trace,
-        quanta: quantum,
-        migrations,
-        matcher: policy.matcher_stats(),
-        degraded: degraded_stats(&session, injector.as_ref(), quanta_degraded, policy),
-        chip_faults: chip_driver.map(|d| d.stats).unwrap_or_default(),
-    }
+    let arrivals = if arrivals.is_empty() {
+        vec![0; n]
+    } else {
+        arrivals.to_vec()
+    };
+    let mode = Mode::Batch { cfg, solo_ipc };
+    let Outcome::Batch(result) = Scheduler::new(mode, apps, arrivals, policy).run() else {
+        unreachable!("a closed batch yields a RunResult");
+    };
+    result
 }
 
 #[cfg(test)]

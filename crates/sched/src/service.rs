@@ -7,12 +7,12 @@
 //! applications arrive continuously (see `synpa_apps::workload::
 //! poisson_trace` / `bursty_trace`), run one launch, and leave; the chip is
 //! perpetually partially full (including odd occupancy) and the scheduler
-//! never stops. This module is that front end, built from the same
-//! primitives as the closed-batch manager:
+//! never stops. This module is that front end: the open mode of the same
+//! quantum loop ([`crate::scheduler`]) the closed batch runs on.
 //!
 //! * **Admission** — arrivals stream into a bounded FIFO queue; at each
 //!   quantum boundary queued apps are attached onto free slots via
-//!   [`first_free_slot`] in strict FIFO order (no later app overtakes a
+//!   [`crate::first_free_slot`] in strict FIFO order (no later app overtakes a
 //!   blocked head-of-line app).
 //! * **Shedding** — an arrival that finds the queue full is *dropped at
 //!   the door* (drop-newest): queued apps are never evicted, so an
@@ -24,7 +24,7 @@
 //!   relaunch executed between completion and the boundary is the cost of
 //!   quantum-granularity scheduling and is not billed to anyone.
 //! * **Re-pairing under churn** — surviving apps are sampled and re-paired
-//!   by the same [`Policy`] objects as the closed batch, via the shared
+//!   by the same [`Policy`] objects as the closed batch, in the same
 //!   per-quantum decision step.
 //!
 //! Metrics are open-system latencies instead of batch TT: per-app
@@ -32,16 +32,11 @@
 //! admission), queue depth and occupancy over time, and the shed count
 //! under overload. See `docs/service.md` for the full rules.
 
-use crate::chipfaults::{ChipFaultDriver, ChipFaultStats};
-use crate::manager::{
-    decide_and_apply, degraded_stats, first_free_slot, log_quantum, sample_sanitized,
-    DegradedStats, ManagerConfig, QuantumRow,
-};
+use crate::chipfaults::ChipFaultStats;
+use crate::manager::{DegradedStats, ManagerConfig, QuantumRow};
 use crate::policy::Policy;
-use std::collections::VecDeque;
+use crate::scheduler::{Mode, Outcome, Scheduler};
 use synpa_apps::AppProfile;
-use synpa_counters::{FaultInjector, SanitizingSession};
-use synpa_sim::{AppFault, Chip, ThreadProgram};
 
 /// Open-system service configuration.
 #[derive(Debug, Clone)]
@@ -204,353 +199,11 @@ pub fn run_service(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrival trace must be sorted by cycle"
     );
-    let quantum_cycles = cfg.manager.quantum_cycles;
-    let smt = cfg.manager.chip.core.smt_ways as usize;
-    let width = cfg.manager.chip.core.dispatch_width;
-
-    let mut chip = Chip::new(cfg.manager.chip.clone());
-    let mut session = SanitizingSession::new().with_cycle_bound(quantum_cycles);
-    let mut injector = cfg.manager.faults.as_ref().map(FaultInjector::new);
-    let mut chip_driver = cfg
-        .manager
-        .chip_faults
-        .as_ref()
-        .map(|fc| ChipFaultDriver::new(fc, cfg.manager.chip.cores as usize));
-    // Per-app planned execution fault, drawn once from the pure plan:
-    // `(is_crash, instruction threshold)`. The threshold is a fraction of
-    // the launch target, so it always fires before a healthy completion.
-    let app_faults: Vec<Option<(bool, u64)>> = match &chip_driver {
-        Some(drv) => (0..n)
-            .map(|k| {
-                drv.plan().app_fault(k).map(|f| match f {
-                    AppFault::Crash { frac } => (true, (frac * apps[k].length() as f64) as u64),
-                    AppFault::Hang { frac } => (false, (frac * apps[k].length() as f64) as u64),
-                })
-            })
-            .collect(),
-        None => vec![None; n],
+    let mode = Mode::Open(cfg);
+    let Outcome::Open(result) = Scheduler::new(mode, apps, arrivals.to_vec(), policy).run() else {
+        unreachable!("the open system yields a ServiceResult");
     };
-    let mut quanta_degraded = 0u64;
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut next_arrival = 0usize;
-    let mut admitted_at: Vec<u64> = vec![0; n];
-    let mut completed: Vec<ServiceApp> = Vec::new();
-    let mut shed: Vec<usize> = Vec::new();
-    let mut failed: Vec<usize> = Vec::new();
-    // Retry machinery: per-app retry count, and evicted apps waiting out
-    // their backoff as `(due_quantum, app)`. The backoff is constant, so
-    // due quanta are nondecreasing in push order and a deque drains them.
-    let mut retries: Vec<u32> = vec![0; n];
-    let mut retry_backlog: VecDeque<(u64, usize)> = VecDeque::new();
-    let mut retries_granted = 0u64;
-    let mut apps_crashed = 0u64;
-    let mut apps_hung = 0u64;
-    // Watchdog state: last observed retired-instruction counter and the
-    // count of consecutive zero-progress quanta, per on-chip app.
-    let mut last_retired: Vec<u64> = vec![0; n];
-    let mut stalled_quanta: Vec<u64> = vec![0; n];
-    let mut hang_applied: Vec<bool> = vec![false; n];
-    let mut queue_depth: Vec<usize> = Vec::new();
-    let mut occupancy: Vec<usize> = Vec::new();
-    let mut trace: Vec<QuantumRow> = Vec::new();
-    let mut migrations = 0u64;
-    let mut quantum = 0u64;
-    let mut drained = false;
-
-    // Evict an app from the run (its thread is already detached): grant a
-    // backed-off retry while the budget lasts, report it failed after.
-    // Progress is censored either way — a retry restarts the launch from
-    // instruction zero, and nothing is ever credited back.
-    fn evict_or_fail(
-        app: usize,
-        quantum: u64,
-        cfg: &ServiceConfig,
-        retries: &mut [u32],
-        retry_backlog: &mut VecDeque<(u64, usize)>,
-        failed: &mut Vec<usize>,
-        retries_granted: &mut u64,
-    ) {
-        if retries[app] >= cfg.max_retries {
-            failed.push(app);
-        } else {
-            retries[app] += 1;
-            *retries_granted += 1;
-            retry_backlog.push_back((quantum + 1 + cfg.retry_backoff_quanta, app));
-        }
-    }
-
-    // FIFO admission: attach queued apps onto free slots in arrival order.
-    // A blocked head of line blocks everyone behind it (no overtaking).
-    fn drain_queue(
-        chip: &mut Chip,
-        queue: &mut VecDeque<usize>,
-        apps: &[AppProfile],
-        admitted_at: &mut [u64],
-        now: u64,
-    ) {
-        while let Some(&k) = queue.front() {
-            let Some(slot) = first_free_slot(chip) else {
-                break;
-            };
-            queue.pop_front();
-            chip.attach(slot, k, Box::new(apps[k].clone()));
-            admitted_at[k] = now;
-        }
-    }
-
-    loop {
-        let now = chip.cycle();
-        // 0. Execution faults: the plan may take cores out of service at
-        //    this boundary, stranding their residents. Each evacuee's
-        //    thread is gone — its partial progress is censored — and it
-        //    either gets a backed-off retry or, budget exhausted, fails.
-        let mut evacuated_now = 0usize;
-        if let Some(drv) = chip_driver.as_mut() {
-            for app in drv.apply(&mut chip, quantum) {
-                session.forget(app);
-                last_retired[app] = 0;
-                stalled_quanta[app] = 0;
-                hang_applied[app] = false;
-                evict_or_fail(
-                    app,
-                    quantum,
-                    cfg,
-                    &mut retries,
-                    &mut retry_backlog,
-                    &mut failed,
-                    &mut retries_granted,
-                );
-                evacuated_now += 1;
-            }
-        }
-        // 0b. Retries whose backoff expired re-enter the queue, bypassing
-        //    the capacity check: an admitted app is never shed.
-        while let Some(&(due, app)) = retry_backlog.front() {
-            if due > quantum {
-                break;
-            }
-            retry_backlog.pop_front();
-            queue.push_back(app);
-        }
-        // 1+2. Stream every arrival due by now through admission, in
-        //    arrival order. The queue is drained onto free slots *before*
-        //    each capacity check, so an arrival is shed only against the
-        //    true backlog, never against same-boundary transients.
-        //    Drop-newest: a full queue refuses the arrival at the door;
-        //    already-queued apps are never evicted.
-        while next_arrival < n && arrivals[next_arrival] <= now {
-            drain_queue(&mut chip, &mut queue, apps, &mut admitted_at, now);
-            if queue.len() < cfg.queue_capacity {
-                queue.push_back(next_arrival);
-            } else if queue.is_empty() {
-                // Capacity 0: no waiting room at all, but an arrival that
-                // can attach *right now* still runs — only non-attachable
-                // arrivals are shed. (Reachable only at capacity 0; a full
-                // non-empty queue must shed to preserve FIFO admission.)
-                if let Some(slot) = first_free_slot(&chip) {
-                    chip.attach(slot, next_arrival, Box::new(apps[next_arrival].clone()));
-                    admitted_at[next_arrival] = now;
-                } else {
-                    shed.push(next_arrival);
-                }
-            } else {
-                shed.push(next_arrival);
-            }
-            next_arrival += 1;
-        }
-        drain_queue(&mut chip, &mut queue, apps, &mut admitted_at, now);
-        queue_depth.push(queue.len());
-        occupancy.push(chip.placement().len());
-        // Exit: trace exhausted, nothing queued or backing off, nothing
-        // on chip.
-        if next_arrival == n
-            && queue.is_empty()
-            && retry_backlog.is_empty()
-            && chip.placement().is_empty()
-        {
-            drained = true;
-            break;
-        }
-        if quantum >= cfg.manager.max_quanta {
-            break;
-        }
-        // 3. One quantum. An empty chip still advances (idle gap in the
-        //    trace); completions land mid-quantum and are detached below.
-        let events = chip.run_until((quantum + 1) * quantum_cycles);
-        // 4. Detach every app whose *first* launch completed. The chip
-        //    relaunched it immediately (§V-B machinery); that partial
-        //    second launch is discarded — the open system runs each app
-        //    once. Turnaround uses the exact completion cycle, not the
-        //    boundary we detach at.
-        for ev in &events {
-            if ev.launch == 0 {
-                if let Some(slot) = chip.slot_of(ev.app_id) {
-                    chip.detach(slot);
-                    session.forget(ev.app_id);
-                    completed.push(ServiceApp {
-                        app: ev.app_id,
-                        name: apps[ev.app_id].name().to_string(),
-                        target: apps[ev.app_id].length(),
-                        arrival: arrivals[ev.app_id],
-                        admitted: admitted_at[ev.app_id],
-                        completed: ev.cycle,
-                    });
-                }
-            }
-        }
-        // 4b. Planned execution faults on the survivors. Completion wins a
-        //    same-quantum tie (the detach above already ran): a launch
-        //    that crossed both its fault threshold and its target inside
-        //    one quantum is a completion — the fault was scheduled for an
-        //    instruction the app no longer executes in isolation-time
-        //    terms. Crashes detach immediately; hangs wedge the thread in
-        //    place (it occupies its slot, stops retiring) and are caught
-        //    by the watchdog below like any other zero-progress app.
-        if chip_driver.is_some() {
-            let placed_now: Vec<usize> = chip.placement().iter().map(|&(a, _)| a).collect();
-            for app in placed_now {
-                let retired = chip.pmu_of(app).map(|p| p.inst_retired).unwrap_or(0);
-                match app_faults[app] {
-                    Some((true, thr)) if retired >= thr => {
-                        let slot = chip.slot_of(app).expect("placed app has a slot");
-                        chip.detach(slot);
-                        session.forget(app);
-                        apps_crashed += 1;
-                        last_retired[app] = 0;
-                        stalled_quanta[app] = 0;
-                        evict_or_fail(
-                            app,
-                            quantum,
-                            cfg,
-                            &mut retries,
-                            &mut retry_backlog,
-                            &mut failed,
-                            &mut retries_granted,
-                        );
-                    }
-                    Some((false, thr)) if retired >= thr && !hang_applied[app] => {
-                        chip.hang_app(app);
-                        hang_applied[app] = true;
-                        apps_hung += 1;
-                    }
-                    _ => {}
-                }
-            }
-            // 4c. Watchdog: an app with zero retirement for
-            //    `watchdog_quanta` consecutive quanta is hung — evict it.
-            //    No privileged fault-plan knowledge: only the public PMU.
-            let placed_now: Vec<usize> = chip.placement().iter().map(|&(a, _)| a).collect();
-            for app in placed_now {
-                let retired = chip.pmu_of(app).map(|p| p.inst_retired).unwrap_or(0);
-                if retired == last_retired[app] {
-                    stalled_quanta[app] += 1;
-                } else {
-                    stalled_quanta[app] = 0;
-                    last_retired[app] = retired;
-                }
-                if stalled_quanta[app] >= cfg.watchdog_quanta {
-                    let slot = chip.slot_of(app).expect("placed app has a slot");
-                    chip.detach(slot);
-                    session.forget(app);
-                    last_retired[app] = 0;
-                    stalled_quanta[app] = 0;
-                    hang_applied[app] = false;
-                    evict_or_fail(
-                        app,
-                        quantum,
-                        cfg,
-                        &mut retries,
-                        &mut retry_backlog,
-                        &mut failed,
-                        &mut retries_granted,
-                    );
-                }
-            }
-        }
-        // 5. Sample the survivors and let the policy re-pair them.
-        let placement = chip.placement();
-        if !placement.is_empty() {
-            let ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
-            let sanitized = sample_sanitized(&mut session, injector.as_mut(), &chip, &ids, quantum);
-            if !sanitized.is_clean() {
-                quanta_degraded += 1;
-            }
-            log_quantum(
-                &mut trace,
-                quantum,
-                &sanitized.samples,
-                &placement,
-                smt,
-                width,
-            );
-            // An empty availability mask is the healthy fast path; only
-            // faulted runs pay for building the mask.
-            let availability = if chip_driver.is_some() {
-                chip.availability()
-            } else {
-                Vec::new()
-            };
-            decide_and_apply(
-                &mut chip,
-                policy,
-                quantum,
-                &sanitized.samples,
-                &sanitized.degraded,
-                &placement,
-                &availability,
-                evacuated_now,
-                &mut migrations,
-            );
-        }
-        quantum += 1;
-    }
-
-    // Conservation: every arrival reaches exactly one terminal outcome
-    // (or, on a capped run, is still identifiably in flight). Kept as a
-    // release assert — a service that loses track of admitted work must
-    // abort rather than publish latency numbers.
-    if drained {
-        assert!(
-            completed.len() + shed.len() + failed.len() == n,
-            "drained service must conserve arrivals: {} completed + {} shed + {} failed != {n}",
-            completed.len(),
-            shed.len(),
-            failed.len(),
-        );
-    } else {
-        let in_flight =
-            queue.len() + chip.placement().len() + retry_backlog.len() + (n - next_arrival);
-        assert!(
-            completed.len() + shed.len() + failed.len() + in_flight == n,
-            "capped service must account for every arrival: {} completed + {} shed + {} failed \
-             + {in_flight} in flight != {n}",
-            completed.len(),
-            shed.len(),
-            failed.len(),
-        );
-    }
-    let mut chip_faults = chip_driver.map(|d| d.stats).unwrap_or_default();
-    chip_faults.apps_crashed = apps_crashed;
-    chip_faults.apps_hung = apps_hung;
-    chip_faults.retries = retries_granted;
-    chip_faults.failed = failed.len() as u64;
-
-    ServiceResult {
-        policy: policy.name().to_string(),
-        completed,
-        shed,
-        failed,
-        queue_depth,
-        occupancy,
-        trace,
-        quanta: quantum,
-        end_cycle: chip.cycle(),
-        migrations,
-        drained,
-        matcher: policy.matcher_stats(),
-        degraded: degraded_stats(&session, injector.as_ref(), quanta_degraded, policy),
-        chip_faults,
-    }
+    result
 }
 
 #[cfg(test)]
