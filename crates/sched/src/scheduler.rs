@@ -158,7 +158,9 @@ impl<'a> Scheduler<'a> {
             chip: Chip::new(cfg.chip.clone()),
             session: SanitizingSession::new().with_cycle_bound(cfg.quantum_cycles),
             injector: cfg.faults.as_ref().map(FaultInjector::new),
-            faults: (cfg.chip_faults.as_ref())
+            faults: cfg
+                .chip_faults
+                .as_ref()
                 .map(|fc| ChipFaultDriver::new(fc, cfg.chip.cores as usize)),
             state: vec![AppState::Pending; apps.len()],
             order,
@@ -290,14 +292,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Expired retries re-enter the queue, bypassing the capacity check (an
-    /// admitted app is never shed). Then due arrivals are admitted onto
-    /// free slots in strict FIFO order: a blocked head of line blocks
-    /// everyone behind it. The queue is drained before each arrival, so the
-    /// open system sheds an arrival only against the true backlog, never
-    /// against same-boundary transients. Drop-newest: a full queue refuses
-    /// the arrival at the door. Capacity 0 leaves no waiting room, but an
-    /// arrival that can attach right now still runs; a full non-empty queue
-    /// must shed to keep admission FIFO.
+    /// admitted app is never shed). Then the queue and the due arrivals are
+    /// admitted onto free slots in strict FIFO order: a blocked head of
+    /// line blocks everyone behind it. The queue is drained before each
+    /// arrival is offered, so the open system sheds an arrival only against
+    /// the true backlog, never against same-boundary transients.
+    /// Drop-newest: a full queue refuses the arrival at the door. Capacity
+    /// 0 leaves no waiting room, but an arrival that can attach right now
+    /// still runs; a full non-empty queue must shed to keep admission FIFO.
     fn admit(&mut self) {
         let now = self.chip.cycle();
         while let Some(&(due, app)) = self.backoff.front() {
@@ -314,12 +316,20 @@ impl<'a> Scheduler<'a> {
             };
             self.queue.push_back(app);
         }
-        self.drain_queue(now);
-        while let Some(&k) = self.order.get(self.next) {
+        loop {
+            if let Some(&k) = self.queue.front() {
+                if let Some(slot) = first_free_slot(&self.chip) {
+                    self.queue.pop_front();
+                    self.attach(k, slot, now);
+                    continue;
+                }
+            }
+            let Some(&k) = self.order.get(self.next) else {
+                break;
+            };
             if self.arrivals[k] > now {
                 break;
             }
-            self.drain_queue(now);
             let free = || first_free_slot(&self.chip);
             match self.mode {
                 Mode::Batch { .. } => match free() {
@@ -342,17 +352,6 @@ impl<'a> Scheduler<'a> {
                 },
             }
             self.next += 1;
-        }
-        self.drain_queue(now);
-    }
-
-    fn drain_queue(&mut self, now: u64) {
-        while let Some(&k) = self.queue.front() {
-            let Some(slot) = first_free_slot(&self.chip) else {
-                break;
-            };
-            self.queue.pop_front();
-            self.attach(k, slot, now);
         }
     }
 
