@@ -221,7 +221,7 @@ impl<'a> Scheduler<'a> {
             }
         }
         if open && self.faults.is_some() {
-            self.police();
+            self.app_faults_and_watchdog();
         }
         self.sample_and_decide(evacuated);
         self.quantum += 1;
@@ -267,9 +267,8 @@ impl<'a> Scheduler<'a> {
         match (self.mode, self.state[app]) {
             (Mode::Batch { .. }, s) => {
                 if let AppState::Running { admitted, .. } = s {
-                    let admitted = Some(admitted);
                     self.state[app] = AppState::Queued {
-                        admitted,
+                        admitted: Some(admitted),
                         retries: 0,
                     };
                 }
@@ -387,7 +386,7 @@ impl<'a> Scheduler<'a> {
     /// watchdog catches them like any other app that retires nothing for
     /// `watchdog_quanta` consecutive quanta — from the public PMU alone,
     /// with no knowledge of the fault plan.
-    fn police(&mut self) {
+    fn app_faults_and_watchdog(&mut self) {
         let (Mode::Open(svc), Some(drv)) = (self.mode, self.faults.as_ref()) else {
             return;
         };
@@ -421,7 +420,8 @@ impl<'a> Scheduler<'a> {
             if retired == *last_retired {
                 *stalled += 1;
             } else {
-                (*stalled, *last_retired) = (0, retired);
+                *stalled = 0;
+                *last_retired = retired;
             }
             if *stalled >= svc.watchdog_quanta {
                 self.chip.detach(slot);
@@ -454,10 +454,8 @@ impl<'a> Scheduler<'a> {
             None => self.session.sample(&self.chip, &ids, quantum),
         };
         self.quanta_degraded += u64::from(!sanitized.is_clean());
-        let (smt, width) = (
-            self.cfg.chip.core.smt_ways as usize,
-            self.cfg.chip.core.dispatch_width,
-        );
+        let smt = self.cfg.chip.core.smt_ways as usize;
+        let width = self.cfg.chip.core.dispatch_width;
         let core_of = |app: usize| {
             placement
                 .iter()
@@ -467,9 +465,10 @@ impl<'a> Scheduler<'a> {
                 .core(smt)
         };
         for &(app, ref delta) in &sanitized.samples {
+            let core = core_of(app);
             let co_runner = placement
                 .iter()
-                .find(|&&(a, s)| a != app && s.core(smt) == core_of(app))
+                .find(|&&(a, s)| a != app && s.core(smt) == core)
                 .map_or(app, |&(a, _)| a);
             self.trace.push(QuantumRow {
                 quantum,
