@@ -27,7 +27,7 @@ use synpa_sim::{AppFault, Chip, Slot, ThreadProgram};
 /// *k*); mid-run it is the "place on an idle core first" behaviour of a
 /// load-balancing OS. `None` means the chip is full — the caller keeps the
 /// app waiting until a slot frees (the admission primitive of both the
-/// closed batch and the open-system [`crate::service`]). Cores out of
+/// closed batch and the open-system [`crate::run_service`]). Cores out of
 /// service are skipped: a slot on an offlined core is not free capacity.
 pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
     let smt = chip.config().core.smt_ways as usize;

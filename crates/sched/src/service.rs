@@ -12,8 +12,8 @@
 //!
 //! * **Admission** — arrivals stream into a bounded FIFO queue; at each
 //!   quantum boundary queued apps are attached onto free slots via
-//!   [`crate::first_free_slot`] in strict FIFO order (no later app overtakes a
-//!   blocked head-of-line app).
+//!   [`crate::first_free_slot`] in strict FIFO order (no later app
+//!   overtakes a blocked head-of-line app).
 //! * **Shedding** — an arrival that finds the queue full is *dropped at
 //!   the door* (drop-newest): queued apps are never evicted, so an
 //!   admitted app always eventually runs. The shed set is reported, never
