@@ -232,19 +232,6 @@ fn main() {
             over_progressed(&linux.app_ipc, workload_ipc),
             over_progressed(&synpa.app_ipc, workload_ipc),
         );
-        // Matching-layer overhead accounting: how many per-quantum solves
-        // the certificate fast-path avoided (exemplar repetition). The
-        // fresh/incremental CI byte-diff strips this line — it is the one
-        // line allowed to differ between the two matchers.
-        let rate = if synpa.matcher_quanta == 0 {
-            0.0
-        } else {
-            100.0 * synpa.matcher_fast_path as f64 / synpa.matcher_quanta as f64
-        };
-        println!(
-            "{:<6} {:<8} matcher: {} pairing quanta, {:.1}% fast-path, {} warm, {} cold",
-            "", "", synpa.matcher_quanta, rate, synpa.matcher_warm, synpa.matcher_cold,
-        );
         // Printed only under --faults, so the healthy table stays
         // byte-identical to runs built before fault injection existed.
         if faults.is_some() {

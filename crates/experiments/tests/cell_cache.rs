@@ -54,10 +54,6 @@ fn sentinel() -> SuiteCell {
         app_ipc: vec![1.0],
         app_speedup: vec![1.0],
         migrations: 77,
-        matcher_quanta: 0,
-        matcher_fast_path: 0,
-        matcher_warm: 0,
-        matcher_cold: 0,
         degraded_quanta: 0,
         faults_injected: 0,
         cores_offlined: 0,

@@ -7,16 +7,14 @@
 //!
 //! Each binary runs in its own scratch directory (the binaries cache
 //! under `./results`) with `SYNPA_FRESH=1` set on the child only, so every
-//! `full_chip` cell is recomputed. `SYNPA_MATCHER` is cleared on the child:
-//! the unstripped tables print the default matcher's accounting line.
+//! `full_chip` cell is recomputed.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `bin` with `args` and returns its stdout with check.sh's `sed`
-/// strip rules applied: the banner line and the wall-time lines always go,
-/// the matcher accounting lines when `strip_matcher` is set.
-fn stripped_table(name: &str, bin: &str, args: &[&str], strip_matcher: bool) -> String {
+/// strip rule applied: the banner line and the wall-time lines go.
+fn stripped_table(name: &str, bin: &str, args: &[&str]) -> String {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -24,7 +22,6 @@ fn stripped_table(name: &str, bin: &str, args: &[&str], strip_matcher: bool) -> 
         .args(args)
         .current_dir(&dir)
         .env("SYNPA_FRESH", "1")
-        .env_remove("SYNPA_MATCHER")
         .output()
         .unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -36,18 +33,18 @@ fn stripped_table(name: &str, bin: &str, args: &[&str], strip_matcher: bool) -> 
     stdout
         .lines()
         .skip(1)
-        .filter(|l| !(l.contains("wall time") || strip_matcher && l.contains("matcher")))
+        .filter(|l| !l.contains("wall time"))
         .map(|l| format!("{l}\n"))
         .collect()
 }
 
-fn check(name: &str, bin: &str, args: &[&str], strip_matcher: bool) {
+fn check(name: &str, bin: &str, args: &[&str]) {
     let golden: PathBuf = [env!("CARGO_MANIFEST_DIR"), "../../tests/golden"]
         .iter()
         .collect::<PathBuf>()
         .join(format!("{name}.txt"));
     let want = std::fs::read_to_string(&golden).unwrap();
-    let got = stripped_table(name, bin, args, strip_matcher);
+    let got = stripped_table(name, bin, args);
     assert!(!got.is_empty(), "{name}: empty table");
     assert!(
         got == want,
@@ -61,40 +58,40 @@ const OPEN_SYSTEM: &str = env!("CARGO_BIN_EXE_open_system");
 
 #[test]
 fn full_chip_smoke() {
-    check("full_chip_smoke", FULL_CHIP, &["--smoke"], false);
+    check("full_chip_smoke", FULL_CHIP, &["--smoke"]);
 }
 
 #[test]
 fn full_chip_faults() {
     let args = ["--smoke", "--faults", "7:0.05"];
-    check("full_chip_faults", FULL_CHIP, &args, true);
+    check("full_chip_faults", FULL_CHIP, &args);
 }
 
 #[test]
 fn full_chip_chip_faults() {
     let args = ["--smoke", "--chip-faults", "7:0.05"];
-    check("full_chip_chip_faults", FULL_CHIP, &args, true);
+    check("full_chip_chip_faults", FULL_CHIP, &args);
 }
 
 #[test]
 fn open_system_smoke() {
-    check("open_system_smoke", OPEN_SYSTEM, &["--smoke"], false);
+    check("open_system_smoke", OPEN_SYSTEM, &["--smoke"]);
 }
 
 #[test]
 fn open_system_faults() {
     let args = ["--smoke", "--faults", "7:0.05"];
-    check("open_system_faults", OPEN_SYSTEM, &args, false);
+    check("open_system_faults", OPEN_SYSTEM, &args);
 }
 
 #[test]
 fn open_system_chip_faults() {
     let args = ["--smoke", "--chip-faults", "7:0.05"];
-    check("open_system_chip_faults", OPEN_SYSTEM, &args, false);
+    check("open_system_chip_faults", OPEN_SYSTEM, &args);
 }
 
 #[test]
 fn open_system_queue_capacity_2() {
     let args = ["--smoke", "--queue-capacity", "2"];
-    check("open_system_queue_capacity_2", OPEN_SYSTEM, &args, false);
+    check("open_system_queue_capacity_2", OPEN_SYSTEM, &args);
 }

@@ -9,10 +9,6 @@
 //! * [`max_weight_matching`] — the O(n³) blossom engine on integer weights.
 //! * [`min_cost_pairing`] — minimum-total-cost perfect pairing on real
 //!   costs (what the SYNPA policy calls).
-//! * [`IncrementalMatcher`] — persistent pairing solver for drifting cost
-//!   sequences: O(n²) dual-certificate fast path, warm-started blossom on
-//!   reject, exactly equal `total_cost` to a fresh solve every call (see
-//!   `docs/matching.md`).
 //! * [`exhaustive_min_pairing`] — exact O(2ⁿ·n) oracle for verification and
 //!   the "evaluate every combination" baseline.
 //! * [`greedy_min_pairing`] — cheapest-edge-first heuristic baseline.
@@ -40,13 +36,9 @@
 #![warn(missing_docs)]
 
 mod blossom;
-mod incremental;
 mod pairing;
 
-pub use blossom::{
-    max_weight_matching, max_weight_matching_in, max_weight_matching_warm_in, Workspace,
-};
-pub use incremental::{IncrementalMatcher, MatcherStats};
+pub use blossom::{max_weight_matching, max_weight_matching_in, Workspace};
 pub use pairing::{
     exhaustive_min_pairing, greedy_min_pairing, min_cost_pairing, min_cost_pairing_in, Pairing,
 };

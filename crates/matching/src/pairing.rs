@@ -22,7 +22,7 @@ pub struct Pairing {
 /// Fixed-point scale used to convert `f64` costs to integer weights.
 const SCALE: f64 = 1_000_000.0;
 
-pub(crate) fn check_square_even(costs: &[Vec<f64>]) -> usize {
+fn check_square_even(costs: &[Vec<f64>]) -> usize {
     let n = costs.len();
     assert!(n % 2 == 0, "perfect pairing needs an even item count");
     assert!(
@@ -32,7 +32,7 @@ pub(crate) fn check_square_even(costs: &[Vec<f64>]) -> usize {
     n
 }
 
-pub(crate) fn pairing_from_mate(costs: &[Vec<f64>], mate: &[Option<usize>]) -> Pairing {
+fn pairing_from_mate(costs: &[Vec<f64>], mate: &[Option<usize>]) -> Pairing {
     let mut pairs = Vec::with_capacity(mate.len() / 2);
     let mut total = 0.0;
     for (u, &m) in mate.iter().enumerate() {
@@ -66,27 +66,6 @@ pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
             total_cost: 0.0,
         };
     }
-    let weights = fill_int_weights(ws, costs);
-    let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
-    ws.int_weights = weights;
-    pairing_from_mate(costs, &mate)
-}
-
-/// Converts a real-valued cost matrix into the non-negative integer
-/// maximization weights the blossom solver expects, filling the
-/// workspace's scratch matrix (taken out and returned; the caller puts it
-/// back after the solve).
-///
-/// Maximize (max_c - cost): all transformed weights >= 1 so the maximum
-/// weight matching on the complete graph is perfect, and maximizing the
-/// transform minimizes total cost (the pair count is fixed at n/2).
-///
-/// This is the *single* cost→weight transform in the crate: the fresh path
-/// (`min_cost_pairing_in`) and the incremental path
-/// (`crate::IncrementalMatcher`) both go through it, so their integer
-/// problems — and therefore their optima — are bit-identical.
-pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> Vec<Vec<i64>> {
-    let n = costs.len();
     let sym = |u: usize, v: usize| 0.5 * (costs[u][v] + costs[v][u]);
     let mut max_c = f64::MIN;
     for u in 0..n {
@@ -96,6 +75,11 @@ pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> Vec<Ve
             }
         }
     }
+    // Maximize (max_c - cost): all transformed weights >= 1 so the maximum
+    // weight matching on the complete graph is perfect, and maximizing the
+    // transform minimizes total cost (the pair count is fixed at n/2).
+    // The integer matrix lives in the workspace; rows are cleared and
+    // refilled, never reallocated in the steady state.
     let mut weights = std::mem::take(&mut ws.int_weights);
     if weights.len() < n {
         weights.resize_with(n, Vec::new);
@@ -110,7 +94,9 @@ pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> Vec<Ve
             }
         }));
     }
-    weights
+    let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
+    ws.int_weights = weights;
+    pairing_from_mate(costs, &mate)
 }
 
 /// [`min_cost_pairing_in`] through the shared thread-local workspace:

@@ -36,7 +36,7 @@ pub use manager::{
     RunResult,
 };
 pub use policy::{
-    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, MatcherKind,
+    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, MatcherStats,
     OracleSynpa, Policy, QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
@@ -45,4 +45,3 @@ pub use runner::{
 };
 pub use scheduler::first_free_slot;
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
-pub use synpa_matching::MatcherStats;

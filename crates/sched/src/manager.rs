@@ -10,7 +10,7 @@
 //! Table V), asks the policy for a placement and applies it.
 
 use crate::chipfaults::ChipFaultStats;
-use crate::policy::Policy;
+use crate::policy::{MatcherStats, Policy};
 use crate::scheduler::{Mode, Outcome, Scheduler};
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultKind, InjectedCounts};
@@ -99,10 +99,9 @@ pub struct RunResult {
     /// unfinished (its [`AppResult::completed`] is `false`); the workload
     /// TT is then a lower bound, not a measurement.
     pub capped: bool,
-    /// Matching-layer counters (certificate fast-path / warm / cold solve
-    /// counts), if the policy drives a pairing matcher. Engine- and
-    /// thread-count-independent, like every other field here.
-    pub matcher: Option<synpa_matching::MatcherStats>,
+    /// Pairing-solver counters, if the policy drives a pairing matcher.
+    /// Engine- and thread-count-independent, like every other field here.
+    pub matcher: Option<MatcherStats>,
     /// Sample-health and fault accounting for the run. All-zero (with
     /// `injected` all-zero) on a healthy source without fault injection.
     pub degraded: DegradedStats,

@@ -8,70 +8,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_matching::{min_cost_pairing, IncrementalMatcher, MatcherStats};
+use synpa_matching::min_cost_pairing;
 use synpa_model::{invert, Categories, SynpaModel};
 use synpa_sim::{PmuDelta, Slot};
-
-/// Which pairing solver the SYNPA policy runs per quantum.
-///
-/// Both are exact — they return identically-costed pairings on every
-/// matrix (CI byte-diffs whole experiment tables under each to enforce
-/// it); they differ only in how much work a low-drift quantum costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatcherKind {
-    /// Cold blossom solve every quantum (`min_cost_pairing`), the
-    /// pre-incremental behaviour and the differential baseline.
-    Fresh,
-    /// Persistent [`IncrementalMatcher`]: O(n²) dual-certificate fast
-    /// path, warm-started blossom on reject (see `docs/matching.md`).
-    Incremental,
-}
-
-impl MatcherKind {
-    /// Every matcher, in documentation order.
-    pub const ALL: [MatcherKind; 2] = [MatcherKind::Fresh, MatcherKind::Incremental];
-
-    /// Stable lowercase name (accepted by [`MatcherKind::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            MatcherKind::Fresh => "fresh",
-            MatcherKind::Incremental => "incremental",
-        }
-    }
-
-    /// Parses a matcher name as accepted by the `SYNPA_MATCHER` override.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "fresh" => Ok(MatcherKind::Fresh),
-            "incremental" => Ok(MatcherKind::Incremental),
-            other => Err(format!(
-                "unknown matcher '{other}' (valid: fresh, incremental)"
-            )),
-        }
-    }
-
-    /// The `SYNPA_MATCHER` environment override, if set. Whitespace is
-    /// trimmed and an empty value means "no override"; an unknown name
-    /// aborts with the valid list — an explicit pin must never fall back
-    /// silently (mirrors `SYNPA_THREADS`).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SYNPA_MATCHER").ok()?;
-        let name = raw.trim();
-        if name.is_empty() {
-            return None;
-        }
-        match Self::parse(name) {
-            Ok(kind) => Some(kind),
-            Err(e) => panic!("SYNPA_MATCHER: {e}"),
-        }
-    }
-}
-
-impl std::fmt::Display for MatcherKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Everything a policy may observe at a quantum boundary.
 #[derive(Debug)]
@@ -170,6 +109,20 @@ pub struct GuardrailStats {
     pub fallback_quanta: u64,
 }
 
+/// Pairing-solver counters of [`Synpa`]: one cold Blossom solve per
+/// pairing quantum. Baselines report `None` from
+/// [`Policy::matcher_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatcherStats {
+    /// Pairing requests served (quanta that reached the matching step).
+    pub calls: u64,
+    /// Always 0: there is no certificate fast path, every call solves.
+    /// Kept because the benchmark (`perfbench/`) reads it.
+    pub certificate_hits: u64,
+    /// Cold Blossom solves; always equal to `calls`.
+    pub cold_solves: u64,
+}
+
 /// A thread-to-core allocation policy.
 pub trait Policy: Send {
     /// Human-readable policy name (used in experiment output).
@@ -180,8 +133,7 @@ pub trait Policy: Send {
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>>;
 
     /// Matching-layer counters, if this policy drives a pairing matcher
-    /// whose per-quantum work is worth reporting (certificate fast-path
-    /// rate etc.). Baselines return `None`.
+    /// whose per-quantum work is worth reporting. Baselines return `None`.
     fn matcher_stats(&self) -> Option<MatcherStats> {
         None
     }
@@ -310,7 +262,7 @@ pub fn units_to_slots(
 fn paired_assignment(
     costs: &[Vec<f64>],
     pad_cost: f64,
-    mut matcher: impl FnMut(&[Vec<f64>]) -> synpa_matching::Pairing,
+    matcher: fn(&[Vec<f64>]) -> synpa_matching::Pairing,
 ) -> (Vec<(usize, usize)>, Vec<usize>) {
     let n = costs.len();
     if n % 2 == 0 {
@@ -419,8 +371,7 @@ pub struct Synpa {
     /// Minimum per-component ST-estimate change (vs. the snapshot the
     /// cost cache was computed from) that re-dirties an app's cost
     /// row/column. Smoothing deltas at or below this are absorbed without
-    /// re-predicting — and without invalidating the incremental matcher's
-    /// certificate. `0.0` disables the gate (every exact change
+    /// re-predicting. `0.0` disables the gate (every exact change
     /// re-predicts, bit-equal to a full rebuild).
     pub repredict_epsilon: f64,
     /// Guardrail K: consecutive severely-degraded quanta (at least half
@@ -437,14 +388,8 @@ pub struct Synpa {
     fallback_entries: u64,
     fallback_quanta: u64,
     last_migration: Option<u64>,
-    /// Which pairing solver runs per quantum (see [`MatcherKind`]).
-    matcher_kind: MatcherKind,
-    /// Persistent incremental matcher (only consulted under
-    /// [`MatcherKind::Incremental`]); reset on app churn.
-    matcher: IncrementalMatcher,
-    /// Counters for the fresh path, so both kinds report comparable
-    /// [`MatcherStats`] (every fresh call is one cold solve).
-    fresh_stats: MatcherStats,
+    /// Pairing-solver counters (every call is one cold solve).
+    matcher: MatcherStats,
     /// ST snapshot each app's cost row/column was last predicted from.
     predicted_st: std::collections::HashMap<usize, Categories>,
     /// Canonical (id-sorted) app list the cost cache is indexed by.
@@ -457,19 +402,8 @@ pub struct Synpa {
 }
 
 impl Synpa {
-    /// Builds the policy around trained model coefficients. The pairing
-    /// solver defaults to [`MatcherKind::Incremental`], overridable via
-    /// the `SYNPA_MATCHER` environment variable.
+    /// Builds the policy around trained model coefficients.
     pub fn new(model: SynpaModel) -> Self {
-        Self::with_matcher(
-            model,
-            MatcherKind::from_env().unwrap_or(MatcherKind::Incremental),
-        )
-    }
-
-    /// Builds the policy with an explicit pairing solver, ignoring the
-    /// environment (differential tests pin both sides with this).
-    pub fn with_matcher(model: SynpaModel, matcher_kind: MatcherKind) -> Self {
         Self {
             model,
             st_estimates: std::collections::HashMap::new(),
@@ -485,19 +419,12 @@ impl Synpa {
             fallback_entries: 0,
             fallback_quanta: 0,
             last_migration: None,
-            matcher_kind,
-            matcher: IncrementalMatcher::new(),
-            fresh_stats: MatcherStats::default(),
+            matcher: MatcherStats::default(),
             predicted_st: std::collections::HashMap::new(),
             cached_apps: Vec::new(),
             cost_cache: Vec::new(),
             dirty: Vec::new(),
         }
-    }
-
-    /// The pairing solver this policy was built with.
-    pub fn matcher_kind(&self) -> MatcherKind {
-        self.matcher_kind
     }
 
     /// Disables smoothing and hysteresis (decisions from the latest quantum
@@ -625,8 +552,8 @@ impl Policy for Synpa {
 
         // Until every app has an estimate, keep the current placement.
         // Apps are canonicalized to sorted-id order so cost-matrix index i
-        // means the same app across quanta — what lets the cost cache and
-        // the incremental matcher carry state between calls.
+        // means the same app across quanta — what lets the cost cache carry
+        // state between calls.
         let mut apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
         apps.sort_unstable();
         if apps.is_empty() || !apps.iter().all(|a| self.st_estimates.contains_key(a)) {
@@ -651,14 +578,13 @@ impl Policy for Synpa {
         // app is dirty when its damped ST estimate moved more than
         // `repredict_epsilon` (any component) from the snapshot its cached
         // costs were predicted from; only dirty rows/columns are
-        // re-predicted. App churn (set change) rebuilds everything and
-        // resets the incremental matcher: index identity is gone.
+        // re-predicted. App churn (set change) rebuilds everything: index
+        // identity is gone.
         let n = apps.len();
         if apps != self.cached_apps {
             self.cached_apps.clear();
             self.cached_apps.extend_from_slice(&apps);
             self.predicted_st.clear();
-            self.matcher.reset();
             self.cost_cache.clear();
             self.cost_cache.resize(n, Vec::new());
             for row in &mut self.cost_cache {
@@ -694,20 +620,10 @@ impl Policy for Synpa {
 
         // Step 3: optimal pairing (odd counts leave one app single via
         // the zero-cost virtual node), then place with minimal moves.
-        // Both matchers solve the same cached matrix and are exact, so the
-        // choice never changes a decision — only its cost.
         let costs = &self.cost_cache;
-        let (idx_pairs, idx_singles) = match self.matcher_kind {
-            MatcherKind::Fresh => {
-                self.fresh_stats.calls += 1;
-                self.fresh_stats.cold_solves += 1;
-                paired_assignment(costs, 0.0, min_cost_pairing)
-            }
-            MatcherKind::Incremental => {
-                let matcher = &mut self.matcher;
-                paired_assignment(costs, 0.0, |c| matcher.pairing(c))
-            }
-        };
+        self.matcher.calls += 1;
+        self.matcher.cold_solves += 1;
+        let (idx_pairs, idx_singles) = paired_assignment(costs, 0.0, min_cost_pairing);
         let pairs: Vec<(usize, usize)> =
             idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
         let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
@@ -741,10 +657,7 @@ impl Policy for Synpa {
     }
 
     fn matcher_stats(&self) -> Option<MatcherStats> {
-        Some(match self.matcher_kind {
-            MatcherKind::Fresh => self.fresh_stats,
-            MatcherKind::Incremental => self.matcher.stats(),
-        })
+        Some(self.matcher)
     }
 
     fn guardrail_stats(&self) -> Option<GuardrailStats> {

@@ -34,7 +34,7 @@
 
 use crate::chipfaults::ChipFaultStats;
 use crate::manager::{DegradedStats, ManagerConfig, QuantumRow};
-use crate::policy::Policy;
+use crate::policy::{MatcherStats, Policy};
 use crate::scheduler::{Mode, Outcome, Scheduler};
 use synpa_apps::AppProfile;
 
@@ -144,10 +144,8 @@ pub struct ServiceResult {
     /// both the queue and the chip were empty; `false` when the quanta cap
     /// cut it off with work still in flight (overload).
     pub drained: bool,
-    /// Matching-layer counters (certificate fast-path / warm / cold solve
-    /// counts), if the policy drives a pairing matcher. The open system is
-    /// the matcher's hardest regime: every detach/admission is churn.
-    pub matcher: Option<synpa_matching::MatcherStats>,
+    /// Pairing-solver counters, if the policy drives a pairing matcher.
+    pub matcher: Option<MatcherStats>,
     /// Sample-health and fault accounting (same schema as the closed
     /// batch). All-zero on a healthy source without fault injection.
     pub degraded: DegradedStats,

@@ -7,8 +7,8 @@
 //! characterization trace, queue and occupancy series, matcher, sample
 //! health and execution-fault accounting. Any change to admission order,
 //! sampling order, the decision step or the end-of-run accounting moves a
-//! hash. The SYNPA model is hand-built (no training runs) and the matcher
-//! is pinned, so the environment cannot change a decision.
+//! hash. The SYNPA model is hand-built (no training runs), so the
+//! environment cannot change a decision.
 //!
 //! The cases cover every path of the per-quantum loop: staggered odd waves
 //! whose first arrival is after cycle 0 (empty-chip quanta), an
@@ -20,8 +20,8 @@
 use synpa_apps::{spec, AppProfile};
 use synpa_counters::FaultConfig;
 use synpa_sched::{
-    run_service, run_workload_with_arrivals, LinuxLike, ManagerConfig, MatcherKind, Policy,
-    RandomPairing, ServiceConfig, Synpa,
+    run_service, run_workload_with_arrivals, LinuxLike, ManagerConfig, Policy, RandomPairing,
+    ServiceConfig, Synpa,
 };
 use synpa_sim::{ChipConfig, ChipFaultConfig};
 
@@ -63,7 +63,7 @@ fn policies() -> [Box<dyn Policy>; 3] {
     [
         Box::new(LinuxLike),
         Box::new(RandomPairing::new(7)),
-        Box::new(Synpa::with_matcher(model(), MatcherKind::Incremental)),
+        Box::new(Synpa::new(model())),
     ]
 }
 
@@ -121,7 +121,7 @@ fn batch_plain() {
         [
             0x3749_81fc_51dc_29d2,
             0xd464_6735_6d08_57ee,
-            0x70e6_1207_0060_4b1f,
+            0x70a1_1008_596b_9ad4,
         ],
         "{got:#x?}"
     );
@@ -142,7 +142,7 @@ fn batch_staggered_odd_waves_after_cycle_zero() {
         [
             0xaa9a_fac1_91f5_cc80,
             0x51ae_113f_2792_136a,
-            0x1a2d_f225_fae9_f7ca,
+            0x3a6e_f448_068e_1cf3,
         ],
         "{got:#x?}"
     );
@@ -162,7 +162,7 @@ fn batch_oversubscribed_and_capped() {
         [
             0x50ec_8de8_9e89_49b3,
             0x5966_2b57_c544_badd,
-            0x4253_02d3_44ef_df78,
+            0x15a1_a8a3_d042_30ee,
         ],
         "{got:#x?}"
     );
@@ -180,7 +180,7 @@ fn batch_counter_faults() {
         [
             0x5ab1_3764_69b0_8ba8,
             0x7181_f539_7149_ed76,
-            0xe124_0160_63aa_dfd5,
+            0x43bc_87b0_e39d_b08e,
         ],
         "{got:#x?}"
     );
@@ -199,7 +199,7 @@ fn batch_chip_faults() {
         [
             0xeabb_021a_e8f0_9598,
             0x9c43_0dcf_c75c_dbf6,
-            0xff99_00d5_b8eb_ca91,
+            0xff1b_4c9b_031f_5d52,
         ],
         "{got:#x?}"
     );
@@ -216,7 +216,7 @@ fn service_plain_drain() {
         [
             0x0be2_a159_3bca_d82c,
             0xeead_a59e_0895_cddd,
-            0x8a05_1cec_7218_d388,
+            0x041f_ca7a_7dcf_7286,
         ],
         "{got:#x?}"
     );
@@ -231,7 +231,7 @@ fn service_zero_capacity_direct_attach() {
         [
             0x9205_ec96_6d66_5de3,
             0xbe85_879c_6c04_7c7a,
-            0x9877_2c7e_c0d3_c8b3,
+            0xde1a_653f_60c7_e452,
         ],
         "{got:#x?}"
     );
@@ -246,7 +246,7 @@ fn service_capacity_one_sheds() {
         [
             0x1db5_229c_8574_3341,
             0x6487_230e_328c_6a9e,
-            0xebee_4e1e_1b64_fbc2,
+            0xa34c_1c94_1b98_3143,
         ],
         "{got:#x?}"
     );
@@ -280,7 +280,7 @@ fn service_chip_faults_retry_and_fail() {
         [
             0xce25_383c_4203_9092,
             0xe2b2_2a6a_ce57_26ba,
-            0x4367_a2f6_509f_4a20,
+            0xf72b_3e2d_45a5_684f,
         ],
         "{got:#x?}"
     );
@@ -298,7 +298,7 @@ fn service_counter_faults_trip_the_guardrails() {
     };
     let arrivals = [0, 0, 0, 0, 10_000, 10_000, 30_000, 50_000];
     let apps = apps(&EIGHT, 60_000);
-    let mut p = Synpa::with_matcher(model(), MatcherKind::Incremental);
+    let mut p = Synpa::new(model());
     let r = run_service(&apps, &arrivals, &mut p, &cfg);
     assert!(r.degraded.fallback_entries > 0, "{:?}", r.degraded);
     let got = service(&apps, &arrivals, &cfg);
@@ -307,7 +307,7 @@ fn service_counter_faults_trip_the_guardrails() {
         [
             0x7d61_8247_172a_f3e3,
             0x753d_8d3d_f6b8_d094,
-            0xbb0d_c06a_18f2_e3d4,
+            0x20eb_f20e_bf9d_f631,
         ],
         "{got:#x?}"
     );

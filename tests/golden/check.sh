@@ -2,9 +2,8 @@
 # Pins *what* the experiment binaries print, not only that the engines
 # agree with each other. Runs `full_chip` and `open_system` in the CI
 # configurations under every engine and SYNPA_THREADS in {1,4}, strips the
-# banner and wall-time lines (and, in the faulted full_chip runs, the
-# matcher accounting line) exactly as the CI byte-diff steps do, and diffs
-# each table against its golden file in this directory.
+# banner and wall-time lines, and diffs each table against its golden file
+# in this directory.
 #
 # Usage, from anywhere, after `cargo build --release`:
 #
@@ -19,14 +18,14 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 
-# check <golden name> <sed script> <binary> <args...>
+# check <golden name> <binary> <args...>
 check() {
-    local name=$1 strip=$2
-    shift 2
+    local name=$1
+    shift
     for t in 1 4; do
         for e in reference percore; do
             SYNPA_FRESH=1 SYNPA_THREADS=$t "$bin/$1" "${@:2}" --engine "$e" |
-                sed "$strip" >out.txt
+                sed '1d;/wall time/d' >out.txt
             test -s out.txt # a crash must not diff as empty-vs-empty
             diff "$golden/$name.txt" out.txt || {
                 echo "golden mismatch: $name, engine $e, SYNPA_THREADS=$t" >&2
@@ -37,10 +36,10 @@ check() {
     echo "ok: $name"
 }
 
-check full_chip_smoke '1d;/wall time/d' full_chip --smoke
-check full_chip_faults '1d;/wall time/d;/matcher/d' full_chip --smoke --faults 7:0.05
-check full_chip_chip_faults '1d;/wall time/d;/matcher/d' full_chip --smoke --chip-faults 7:0.05
-check open_system_smoke '1d;/wall time/d' open_system --smoke
-check open_system_faults '1d;/wall time/d' open_system --smoke --faults 7:0.05
-check open_system_chip_faults '1d;/wall time/d' open_system --smoke --chip-faults 7:0.05
-check open_system_queue_capacity_2 '1d;/wall time/d' open_system --smoke --queue-capacity 2
+check full_chip_smoke full_chip --smoke
+check full_chip_faults full_chip --smoke --faults 7:0.05
+check full_chip_chip_faults full_chip --smoke --chip-faults 7:0.05
+check open_system_smoke open_system --smoke
+check open_system_faults open_system --smoke --faults 7:0.05
+check open_system_chip_faults open_system --smoke --chip-faults 7:0.05
+check open_system_queue_capacity_2 open_system --smoke --queue-capacity 2
