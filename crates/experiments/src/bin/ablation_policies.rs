@@ -19,26 +19,30 @@ fn main() {
         cfg.reps
     );
     println!("{:<6} {:>8} {:>8} {:>8}", "wl", "synpa", "oracle", "random");
-    for name in ["be2", "fe3", "fb5", "fb8"] {
-        let w = workload::by_name(name).unwrap();
-        let prepared = prepare_workload(&w, &cfg);
+    let workloads: Vec<Workload> = ["be2", "fe3", "fb5", "fb8"]
+        .iter()
+        .map(|name| workload::by_name(name).unwrap())
+        .collect();
+    let prepared_all = prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg);
+    for prepared in &prepared_all {
+        let name = &prepared.workload.name;
         let st: Vec<(usize, Categories)> = prepared
             .apps
             .iter()
             .enumerate()
             .map(|(k, app)| (k, st_profile(app, &tcfg).mean()))
             .collect();
-        let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
-        let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+        let linux = run_cell(prepared, |_| Box::new(LinuxLike), &cfg);
+        let synpa = run_cell(prepared, |_| Box::new(Synpa::new(model)), &cfg);
         let oracle = run_cell(
-            &prepared,
+            prepared,
             {
                 let st = st.clone();
                 move |_| Box::new(OracleSynpa::new(model, st.clone()))
             },
             &cfg,
         );
-        let random = run_cell(&prepared, |s| Box::new(RandomPairing::new(s)), &cfg);
+        let random = run_cell(prepared, |s| Box::new(RandomPairing::new(s)), &cfg);
         println!(
             "{name:<6} {:>8.3} {:>8.3} {:>8.3}",
             tt_speedup(linux.tt_mean, synpa.tt_mean),

@@ -8,11 +8,16 @@ use synpa_experiments::{eval_config, trained_model};
 fn main() {
     let (model, _) = trained_model();
     let cfg = eval_config();
-    for name in ["be1", "fe2", "fb2"] {
-        let w = workload::by_name(name).unwrap();
-        let prepared = prepare_workload(&w, &cfg);
-        let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
-        let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+    let workloads: Vec<Workload> = ["be1", "fe2", "fb2"]
+        .iter()
+        .map(|name| workload::by_name(name).unwrap())
+        .collect();
+    let prepared_all = prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg);
+    for prepared in &prepared_all {
+        let w = &prepared.workload;
+        let name = &w.name;
+        let linux = run_cell(prepared, |_| Box::new(LinuxLike), &cfg);
+        let synpa = run_cell(prepared, |_| Box::new(Synpa::new(model)), &cfg);
         println!("\nFig. 6 — workload {name}  (per app: linux | synpa, % of workload TT)");
         println!(
             "{:<14} {:>22} | {:>22}",

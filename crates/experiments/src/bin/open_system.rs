@@ -237,8 +237,9 @@ fn main() {
         "migr",
         "drained"
     );
-    for row in &rows {
-        let prepared = prepare_workload(&row.trace.to_workload(), &cfg);
+    let workloads: Vec<Workload> = rows.iter().map(|row| row.trace.to_workload()).collect();
+    let prepared_rows = prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg);
+    for (row, prepared) in rows.iter().zip(&prepared_rows) {
         let policies: Vec<(&str, Box<dyn Policy>)> = vec![
             ("linux", Box::new(LinuxLike)),
             ("synpa", Box::new(Synpa::new(model))),

@@ -5,7 +5,10 @@
 //! `sched::parallel_map`, and persists every finished cell as its own JSON
 //! file keyed by `(workload, policy, config-hash, seed)`. Re-runs only
 //! compute cells that are missing, stale (different config hash) or
-//! corrupted — a warm sweep is pure deserialization.
+//! corrupted — a warm sweep is pure deserialization. Calibration (the solo
+//! run that fixes each app's launch target) depends only on the app and
+//! the config, so a sweep calibrates each distinct app once, shared by
+//! every workload that still has uncached cells.
 //!
 //! Determinism contract: the assembled cell vector is identical — byte for
 //! byte once serialized — for any worker-thread count, and identical to
@@ -391,14 +394,15 @@ pub fn run_suite_sequential(spec: &SuiteSpec, model: SynpaModel) -> Vec<SuiteCel
 ///
 /// Two parallel stages, both order-preserving:
 ///
-/// 1. every workload with at least one uncached cell is calibrated
-///    (`prepare_workload`) — once, not once per policy;
+/// 1. every workload with at least one uncached cell is calibrated in one
+///    `prepare_workloads` call — each distinct app once per sweep, not
+///    once per workload or per policy, across all `threads` workers;
 /// 2. every uncached cell runs `run_cell` and is persisted.
 ///
 /// Inside a cell, leftover parallelism is divided among the in-flight
-/// items: a 40-cell standard sweep pins cells to 1 thread (the grid
+/// cells: a 40-cell standard sweep pins cells to 1 thread (the grid
 /// saturates the workers), while a 2-cell full-chip run still parallelizes
-/// each cell's calibration and repetitions.
+/// each cell's repetitions.
 pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) -> Vec<SuiteCell> {
     let threads = threads.max(1);
     if let Some(dir) = spec.cache_dir.as_deref() {
@@ -427,7 +431,8 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
         .collect();
     let missing_cells = cached.iter().filter(|c| c.is_none()).count();
 
-    // Stage 1: calibrate every workload that still has work, in parallel.
+    // Stage 1: calibrate every workload that still has work, each distinct
+    // app once across all of them.
     let mut missing_workloads: Vec<usize> = Vec::new();
     for (&(wi, _), cell) in grid.iter().zip(&cached) {
         if cell.is_none() && !missing_workloads.contains(&wi) {
@@ -435,10 +440,12 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
         }
     }
     let mut prep_cfg = spec.config.clone();
-    prep_cfg.threads = (threads / missing_workloads.len().max(1)).max(1);
-    let prepared: Vec<PreparedWorkload> = parallel_map(&missing_workloads, threads, |&wi| {
-        prepare_workload(&spec.workloads[wi], &prep_cfg)
-    });
+    prep_cfg.threads = threads;
+    let to_prepare: Vec<&Workload> = missing_workloads
+        .iter()
+        .map(|&wi| &spec.workloads[wi])
+        .collect();
+    let prepared = prepare_workloads(&to_prepare, &prep_cfg);
     let prepared_of: HashMap<usize, &PreparedWorkload> = missing_workloads
         .iter()
         .zip(&prepared)

@@ -21,8 +21,9 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let mut by_kind: HashMap<String, Vec<f64>> = HashMap::new();
-    for w in workload::standard_suite() {
-        let prepared = prepare_workload(&w, &cfg);
+    let suite = workload::standard_suite();
+    for prepared in prepare_workloads(&suite.iter().collect::<Vec<_>>(), &cfg) {
+        let w = &prepared.workload;
         let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
         let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
         let sp = linux.tt_mean / synpa.tt_mean;

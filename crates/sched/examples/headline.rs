@@ -27,9 +27,12 @@ fn main() {
         reps: 5,
         ..Default::default()
     };
-    for name in ["be1", "fe2", "fb2", "fb0", "fb5"] {
-        let w = workload::by_name(name).unwrap();
-        let prepared = prepare_workload(&w, &cfg);
+    let workloads: Vec<_> = ["be1", "fe2", "fb2", "fb0", "fb5"]
+        .iter()
+        .map(|name| workload::by_name(name).unwrap())
+        .collect();
+    for prepared in prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg) {
+        let name = &prepared.workload.name;
         let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
         let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
         let speedup = linux.tt_mean / synpa.tt_mean;

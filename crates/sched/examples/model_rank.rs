@@ -37,13 +37,16 @@ fn main() {
     let model = train(&train_apps, &tcfg, 16).expect("catalog fits").model;
     eprintln!("backend coeffs: {:?}", model.backend);
 
-    for name in ["be1", "be3", "fb2", "fb7"] {
-        let w = workload::by_name(name).unwrap();
-        let cfg = ExperimentConfig {
-            reps: 1,
-            ..Default::default()
-        };
-        let prepared = prepare_workload(&w, &cfg);
+    let cfg = ExperimentConfig {
+        reps: 1,
+        ..Default::default()
+    };
+    let workloads: Vec<_> = ["be1", "be3", "fb2", "fb7"]
+        .iter()
+        .map(|name| workload::by_name(name).unwrap())
+        .collect();
+    for prepared in prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg) {
+        let name = &prepared.workload.name;
         let st: Vec<_> = prepared
             .apps
             .iter()

@@ -17,8 +17,8 @@
 //!   the private `scheduler` module: chip faults → admission → simulate →
 //!   completions → crash/hang watchdog → sample, decide, apply, with each
 //!   app's lifecycle one `AppState`;
-//! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
-//!   experiment driver.
+//! * [`run_cell`] / [`prepare_workloads`] — the repetition + outlier-discard
+//!   experiment driver; calibration runs once per distinct app.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +40,8 @@ pub use policy::{
     OracleSynpa, Policy, QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
-    cv, discard_outliers, parallel_map, prepare_workload, run_cell, CellOutcome, ExperimentConfig,
-    PreparedWorkload,
+    cv, discard_outliers, parallel_map, prepare_workload, prepare_workloads, run_cell, CellOutcome,
+    ExperimentConfig, PreparedWorkload,
 };
 pub use scheduler::first_free_slot;
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};

@@ -53,9 +53,10 @@ pub mod prelude {
     pub use synpa_model::training::{train, TrainingConfig};
     pub use synpa_model::{Categories, SynpaModel};
     pub use synpa_sched::{
-        prepare_workload, run_cell, run_service, run_workload, run_workload_with_arrivals,
-        ChipFaultStats, DegradedStats, ExperimentConfig, GuardrailStats, LinuxLike, ManagerConfig,
-        OracleSynpa, Policy, RandomPairing, ServiceApp, ServiceConfig, ServiceResult, Synpa,
+        prepare_workload, prepare_workloads, run_cell, run_service, run_workload,
+        run_workload_with_arrivals, ChipFaultStats, DegradedStats, ExperimentConfig,
+        GuardrailStats, LinuxLike, ManagerConfig, OracleSynpa, Policy, RandomPairing, ServiceApp,
+        ServiceConfig, ServiceResult, Synpa,
     };
     pub use synpa_sim::{Chip, ChipConfig, ChipFaultConfig, EngineKind, PmuCounters, Slot};
 }

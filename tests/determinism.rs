@@ -56,3 +56,33 @@ fn preparation_is_deterministic_too() {
     let p2 = prepare_workload(&w, &cfg);
     assert_eq!(format!("{p1:?}"), format!("{p2:?}"));
 }
+
+#[test]
+fn batch_preparation_matches_per_workload_preparation() {
+    // One calibration per distinct app across the batch must reproduce
+    // calibrating every workload on its own, scaled targets included.
+    let cfg = ExperimentConfig {
+        target_window: 20_000,
+        calibration_warmup: 10_000,
+        ..tiny_cfg(1)
+    };
+    let mut workloads = workload::standard_suite();
+    workloads.push(workload::heterogeneous_workload(
+        "het",
+        workload::WorkloadKind::Mixed,
+        8,
+        0.5,
+        2.0,
+        3,
+    ));
+    let batch = prepare_workloads(&workloads.iter().collect::<Vec<_>>(), &cfg);
+    assert_eq!(batch.len(), workloads.len());
+    for (w, prepared) in workloads.iter().zip(&batch) {
+        assert_eq!(
+            format!("{prepared:?}"),
+            format!("{:?}", prepare_workload(w, &cfg)),
+            "{}",
+            w.name
+        );
+    }
+}

@@ -63,3 +63,35 @@ fn warm_cache_reproduces_the_cold_result_byte_for_byte() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn partially_warm_cache_reproduces_the_cold_result_byte_for_byte() {
+    // Deleting one workload's cells makes the rerun calibrate only that
+    // workload's apps; its recomputed cells must equal the cold ones.
+    let dir = std::env::temp_dir().join("synpa-suite-determinism-partial-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = run_suite_sharded(&mini_spec(Some(dir.clone())), model(), 1);
+    let cell_files = || -> Vec<PathBuf> {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect()
+    };
+    let fb2_cells: Vec<PathBuf> = cell_files()
+        .into_iter()
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("fb2-"))
+        .collect();
+    assert_eq!(fb2_cells.len(), 2, "fb2 has one cell per policy");
+    for path in &fb2_cells {
+        std::fs::remove_file(path).unwrap();
+    }
+    let partial = run_suite_sharded(&mini_spec(Some(dir.clone())), model(), 2);
+    assert_eq!(cell_files().len(), 4, "the deleted cells are stored again");
+    assert_eq!(
+        serde_json::to_string_pretty(&cold).unwrap(),
+        serde_json::to_string_pretty(&partial).unwrap(),
+        "a partially cached run must reproduce the cold run exactly"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
