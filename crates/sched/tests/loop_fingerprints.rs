@@ -1,14 +1,14 @@
 //! Whole-output pins for the closed-batch manager and the open-system
 //! service.
 //!
-//! Each case runs one small workload under `LinuxLike`, `RandomPairing`
-//! and `Synpa` and hashes the complete `Debug` rendering of the
-//! `RunResult` / `ServiceResult` (FNV-1a): per-app outcomes, the full
-//! characterization trace, queue and occupancy series, matcher, sample
-//! health and execution-fault accounting. Any change to admission order,
-//! sampling order, the decision step or the end-of-run accounting moves a
-//! hash. The SYNPA model is hand-built (no training runs), so the
-//! environment cannot change a decision.
+//! Each case runs one small workload under `LinuxLike`, `RandomPairing`,
+//! `Synpa`, `GreedySynpa` and `OracleSynpa` and hashes the complete
+//! `Debug` rendering of the `RunResult` / `ServiceResult` (FNV-1a):
+//! per-app outcomes, the full characterization trace, queue and occupancy
+//! series, matcher, sample health and execution-fault accounting. Any
+//! change to admission order, sampling order, the decision step or the
+//! end-of-run accounting moves a hash. The SYNPA model and the oracle's ST table are hand-built (no
+//! training runs), so the environment cannot change a decision.
 //!
 //! The cases cover every path of the per-quantum loop: staggered odd waves
 //! whose first arrival is after cycle 0 (empty-chip quanta), an
@@ -20,8 +20,8 @@
 use synpa_apps::{spec, AppProfile};
 use synpa_counters::FaultConfig;
 use synpa_sched::{
-    run_service, run_workload_with_arrivals, LinuxLike, ManagerConfig, Policy, RandomPairing,
-    ServiceConfig, Synpa,
+    run_service, run_workload_with_arrivals, GreedySynpa, LinuxLike, ManagerConfig, OracleSynpa,
+    Policy, RandomPairing, ServiceConfig, Synpa,
 };
 use synpa_sim::{ChipConfig, ChipFaultConfig};
 
@@ -58,12 +58,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The three policies every case runs under, in pin order.
-fn policies() -> [Box<dyn Policy>; 3] {
+/// Hand-built "true" ST categories (CPI components) for app ids 0..8,
+/// every id the cases place: a mix of frontend- and backend-bound apps.
+fn oracle_st() -> Vec<(usize, synpa_model::Categories)> {
+    let table = [
+        [0.25, 0.10, 1.60],
+        [0.25, 0.60, 0.20],
+        [0.25, 0.15, 0.90],
+        [0.25, 0.45, 0.10],
+        [0.25, 0.05, 0.40],
+        [0.25, 0.30, 0.05],
+        [0.25, 0.20, 1.20],
+        [0.25, 0.50, 0.30],
+    ];
+    table
+        .iter()
+        .enumerate()
+        .map(|(id, &c)| (id, synpa_model::Categories::from_array(c)))
+        .collect()
+}
+
+/// The five policies every case runs under, in pin order.
+fn policies() -> [Box<dyn Policy>; 5] {
     [
         Box::new(LinuxLike),
         Box::new(RandomPairing::new(7)),
         Box::new(Synpa::new(model())),
+        Box::new(GreedySynpa::new(model())),
+        Box::new(OracleSynpa::new(model(), oracle_st())),
     ]
 }
 
@@ -85,8 +107,8 @@ const EIGHT: [&str; 8] = [
     "astar",
 ];
 
-/// Hashes of one closed-batch case under the three policies.
-fn batch(apps: &[AppProfile], cfg: &ManagerConfig, arrivals: &[u64]) -> [u64; 3] {
+/// Hashes of one closed-batch case under the five policies.
+fn batch(apps: &[AppProfile], cfg: &ManagerConfig, arrivals: &[u64]) -> [u64; 5] {
     let solo = vec![1.0; apps.len()];
     policies().map(|mut p| {
         let r = run_workload_with_arrivals(apps, &solo, p.as_mut(), cfg, arrivals);
@@ -94,8 +116,8 @@ fn batch(apps: &[AppProfile], cfg: &ManagerConfig, arrivals: &[u64]) -> [u64; 3]
     })
 }
 
-/// Hashes of one service case under the three policies.
-fn service(apps: &[AppProfile], arrivals: &[u64], cfg: &ServiceConfig) -> [u64; 3] {
+/// Hashes of one service case under the five policies.
+fn service(apps: &[AppProfile], arrivals: &[u64], cfg: &ServiceConfig) -> [u64; 5] {
     policies().map(|mut p| {
         let r = run_service(apps, arrivals, p.as_mut(), cfg);
         fnv1a(format!("{r:?}").as_bytes())
@@ -122,6 +144,8 @@ fn batch_plain() {
             0x3749_81fc_51dc_29d2,
             0xd464_6735_6d08_57ee,
             0x70a1_1008_596b_9ad4,
+            0xf0d9_f331_476f_9cb9,
+            0x9a83_0701_3855_b49c,
         ],
         "{got:#x?}"
     );
@@ -143,6 +167,8 @@ fn batch_staggered_odd_waves_after_cycle_zero() {
             0xaa9a_fac1_91f5_cc80,
             0x51ae_113f_2792_136a,
             0x3a6e_f448_068e_1cf3,
+            0xa4a7_6e28_ff5a_6fde,
+            0x4990_4d39_06e3_e746,
         ],
         "{got:#x?}"
     );
@@ -163,6 +189,8 @@ fn batch_oversubscribed_and_capped() {
             0x50ec_8de8_9e89_49b3,
             0x5966_2b57_c544_badd,
             0x15a1_a8a3_d042_30ee,
+            0xf467_6e4f_c9b8_48b9,
+            0x39bb_72c8_d557_9146,
         ],
         "{got:#x?}"
     );
@@ -181,6 +209,8 @@ fn batch_counter_faults() {
             0x5ab1_3764_69b0_8ba8,
             0x7181_f539_7149_ed76,
             0x43bc_87b0_e39d_b08e,
+            0x63b4_a273_3dfe_0cd3,
+            0x01c8_6167_8589_7117,
         ],
         "{got:#x?}"
     );
@@ -200,6 +230,8 @@ fn batch_chip_faults() {
             0xeabb_021a_e8f0_9598,
             0x9c43_0dcf_c75c_dbf6,
             0xff1b_4c9b_031f_5d52,
+            0xa196_e2e5_d0b1_d9a2,
+            0x2881_0809_e287_77ba,
         ],
         "{got:#x?}"
     );
@@ -217,6 +249,8 @@ fn service_plain_drain() {
             0x0be2_a159_3bca_d82c,
             0xeead_a59e_0895_cddd,
             0x041f_ca7a_7dcf_7286,
+            0x559d_8431_7251_24b3,
+            0x7992_d61a_5299_6690,
         ],
         "{got:#x?}"
     );
@@ -232,6 +266,8 @@ fn service_zero_capacity_direct_attach() {
             0x9205_ec96_6d66_5de3,
             0xbe85_879c_6c04_7c7a,
             0xde1a_653f_60c7_e452,
+            0xc328_cadc_5934_6ca9,
+            0x2513_461a_a009_b885,
         ],
         "{got:#x?}"
     );
@@ -247,6 +283,8 @@ fn service_capacity_one_sheds() {
             0x1db5_229c_8574_3341,
             0x6487_230e_328c_6a9e,
             0xa34c_1c94_1b98_3143,
+            0x93cd_d242_4362_e341,
+            0x2ce8_1e6c_1df9_9274,
         ],
         "{got:#x?}"
     );
@@ -281,6 +319,8 @@ fn service_chip_faults_retry_and_fail() {
             0xce25_383c_4203_9092,
             0xe2b2_2a6a_ce57_26ba,
             0xf72b_3e2d_45a5_684f,
+            0x9898_901f_40d6_2a91,
+            0x293d_327d_f9fd_cc97,
         ],
         "{got:#x?}"
     );
@@ -308,6 +348,8 @@ fn service_counter_faults_trip_the_guardrails() {
             0x7d61_8247_172a_f3e3,
             0x753d_8d3d_f6b8_d094,
             0x20eb_f20e_bf9d_f631,
+            0x4cef_01e0_dc13_4174,
+            0x84d7_04fb_d9f7_ad5b,
         ],
         "{got:#x?}"
     );
