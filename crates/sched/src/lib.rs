@@ -36,8 +36,8 @@ pub use manager::{
     RunResult,
 };
 pub use policy::{
-    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, MatcherStats,
-    OracleSynpa, Policy, QuantumView, RandomPairing, StaticPairs, Synpa,
+    units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, MatcherStats, OracleSynpa, Policy,
+    QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
     cv, discard_outliers, parallel_map, prepare_workload, prepare_workloads, run_cell, CellOutcome,

@@ -145,17 +145,6 @@ pub trait Policy: Send {
     }
 }
 
-/// Assigns pairs to cores, keeping each pair on a core that already hosts
-/// one of its members when possible (minimizes migrations). Even-count
-/// convenience wrapper over [`units_to_slots`].
-pub fn pairs_to_slots(
-    pairs: &[(usize, usize)],
-    current: &[(usize, Slot)],
-    smt_ways: usize,
-) -> Vec<(usize, Slot)> {
-    units_to_slots(pairs, &[], current, smt_ways, &[])
-}
-
 /// Assigns allocation units — SMT pairs plus unpaired singles — to cores,
 /// keeping each unit on a core that already hosts one of its members when
 /// possible (minimizes migrations). A single occupies context 0 of its
@@ -290,6 +279,48 @@ fn paired_assignment(
     (pairs, singles)
 }
 
+/// Predicted-slowdown matrix over `apps`: entry `[i][j]` is the slowdown of
+/// `apps[i]` next to `apps[j]`, from the ST categories in `st`; the diagonal
+/// is 0. Every app must have an entry in `st`.
+fn cost_matrix(
+    model: &SynpaModel,
+    st: &std::collections::HashMap<usize, Categories>,
+    apps: &[usize],
+) -> Vec<Vec<f64>> {
+    apps.iter()
+        .map(|a| {
+            apps.iter()
+                .map(|b| {
+                    if a == b {
+                        0.0
+                    } else {
+                        model.predict_slowdown(&st[a], &st[b])
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Maps an index-space [`paired_assignment`] over `apps` back to app ids
+/// and places it on the view's cores with the fewest moves.
+fn place_assignment(
+    apps: &[usize],
+    idx_pairs: &[(usize, usize)],
+    idx_singles: &[usize],
+    view: &QuantumView<'_>,
+) -> Vec<(usize, Slot)> {
+    let pairs: Vec<(usize, usize)> = idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
+    let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
+    units_to_slots(
+        &pairs,
+        &singles,
+        view.placement,
+        view.smt_ways,
+        view.availability,
+    )
+}
+
 /// Pad cost for greedy matchers: far above any plausible predicted
 /// slowdown, so the dummy edge sorts last and the single is the leftover.
 const GREEDY_PAD: f64 = 1e30;
@@ -368,12 +399,6 @@ pub struct Synpa {
     /// Minimum quanta between migrations (cold caches need time to
     /// re-warm before the next decision is trustworthy).
     pub cooldown: u64,
-    /// Minimum per-component ST-estimate change (vs. the snapshot the
-    /// cost cache was computed from) that re-dirties an app's cost
-    /// row/column. Smoothing deltas at or below this are absorbed without
-    /// re-predicting. `0.0` disables the gate (every exact change
-    /// re-predicts, bit-equal to a full rebuild).
-    pub repredict_epsilon: f64,
     /// Guardrail K: consecutive severely-degraded quanta (at least half
     /// the placed rows degraded) before entering fallback — hold the
     /// current pairing, no migrations, LinuxLike-equivalent behaviour.
@@ -390,15 +415,6 @@ pub struct Synpa {
     last_migration: Option<u64>,
     /// Pairing-solver counters (every call is one cold solve).
     matcher: MatcherStats,
-    /// ST snapshot each app's cost row/column was last predicted from.
-    predicted_st: std::collections::HashMap<usize, Categories>,
-    /// Canonical (id-sorted) app list the cost cache is indexed by.
-    cached_apps: Vec<usize>,
-    /// Persistent cost matrix over `cached_apps`; only dirty rows/columns
-    /// are re-predicted each quantum.
-    cost_cache: Vec<Vec<f64>>,
-    /// Per-app dirty flags, scratch reused across quanta.
-    dirty: Vec<bool>,
 }
 
 impl Synpa {
@@ -410,7 +426,6 @@ impl Synpa {
             smoothing: 0.6,
             hysteresis: 0.02,
             cooldown: 3,
-            repredict_epsilon: 1e-4,
             fallback_after: 4,
             recover_after: 4,
             degraded_streak: 0,
@@ -420,10 +435,6 @@ impl Synpa {
             fallback_quanta: 0,
             last_migration: None,
             matcher: MatcherStats::default(),
-            predicted_st: std::collections::HashMap::new(),
-            cached_apps: Vec::new(),
-            cost_cache: Vec::new(),
-            dirty: Vec::new(),
         }
     }
 
@@ -551,9 +562,8 @@ impl Policy for Synpa {
         }
 
         // Until every app has an estimate, keep the current placement.
-        // Apps are canonicalized to sorted-id order so cost-matrix index i
-        // means the same app across quanta — what lets the cost cache carry
-        // state between calls.
+        // Apps are id-sorted because the order of the cost matrix fixes the
+        // Blossom input order, and so which optimum wins a tie.
         let mut apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
         apps.sort_unstable();
         if apps.is_empty() || !apps.iter().all(|a| self.st_estimates.contains_key(a)) {
@@ -574,59 +584,14 @@ impl Policy for Synpa {
             }
         }
 
-        // Step 2: predict the slowdown of every pair — incrementally. An
-        // app is dirty when its damped ST estimate moved more than
-        // `repredict_epsilon` (any component) from the snapshot its cached
-        // costs were predicted from; only dirty rows/columns are
-        // re-predicted. App churn (set change) rebuilds everything: index
-        // identity is gone.
-        let n = apps.len();
-        if apps != self.cached_apps {
-            self.cached_apps.clear();
-            self.cached_apps.extend_from_slice(&apps);
-            self.predicted_st.clear();
-            self.cost_cache.clear();
-            self.cost_cache.resize(n, Vec::new());
-            for row in &mut self.cost_cache {
-                row.clear();
-                row.resize(n, 0.0);
-            }
-        }
-        self.dirty.clear();
-        self.dirty.resize(n, false);
-        for (i, &a) in apps.iter().enumerate() {
-            let est = self.st_estimates[&a];
-            let stale = match self.predicted_st.get(&a) {
-                Some(snap) => {
-                    let (e, s) = (est.as_array(), snap.as_array());
-                    (0..3).any(|k| (e[k] - s[k]).abs() > self.repredict_epsilon)
-                }
-                None => true,
-            };
-            if stale {
-                self.predicted_st.insert(a, est);
-            }
-            self.dirty[i] = stale;
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && (self.dirty[i] || self.dirty[j]) {
-                    let st_i = &self.predicted_st[&apps[i]];
-                    let st_j = &self.predicted_st[&apps[j]];
-                    self.cost_cache[i][j] = self.model.predict_slowdown(st_i, st_j);
-                }
-            }
-        }
+        // Step 2: predict the slowdown of every pair.
+        let costs = cost_matrix(&self.model, &self.st_estimates, &apps);
 
         // Step 3: optimal pairing (odd counts leave one app single via
         // the zero-cost virtual node), then place with minimal moves.
-        let costs = &self.cost_cache;
         self.matcher.calls += 1;
         self.matcher.cold_solves += 1;
-        let (idx_pairs, idx_singles) = paired_assignment(costs, 0.0, min_cost_pairing);
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
+        let (idx_pairs, idx_singles) = paired_assignment(&costs, 0.0, min_cost_pairing);
 
         // Hysteresis: compare against the predicted cost of keeping the
         // current pairing; migrate only for a material predicted gain.
@@ -647,13 +612,7 @@ impl Policy for Synpa {
             return None;
         }
         self.last_migration = Some(view.quantum);
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        Some(place_assignment(&apps, &idx_pairs, &idx_singles, view))
     }
 
     fn matcher_stats(&self) -> Option<MatcherStats> {
@@ -728,37 +687,15 @@ impl Policy for GreedySynpa {
     }
 
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
-        // Reuse SYNPA's estimation machinery, then re-pair greedily over the
-        // same predicted costs.
-        let blossom_decision = self.inner.decide(view)?;
+        // Reuse SYNPA's estimation machinery and gates, then re-pair
+        // greedily over the same predicted costs. `inner.decide` returns
+        // `Some` only when every placed app has an estimate.
+        self.inner.decide(view)?;
         let apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
-        let n = apps.len();
-        let mut costs = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let (Some(si), Some(sj)) = (
-                        self.inner.st_estimate(apps[i]),
-                        self.inner.st_estimate(apps[j]),
-                    ) else {
-                        return Some(blossom_decision);
-                    };
-                    costs[i][j] = self.inner.model().predict_slowdown(si, sj);
-                }
-            }
-        }
+        let costs = cost_matrix(&self.inner.model, &self.inner.st_estimates, &apps);
         let (idx_pairs, idx_singles) =
             paired_assignment(&costs, GREEDY_PAD, synpa_matching::greedy_min_pairing);
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        Some(place_assignment(&apps, &idx_pairs, &idx_singles, view))
     }
 
     fn guardrail_stats(&self) -> Option<GuardrailStats> {
@@ -795,28 +732,9 @@ impl Policy for OracleSynpa {
         if !apps.iter().all(|a| self.st_true.contains_key(a)) {
             return None;
         }
-        let n = apps.len();
-        let mut costs = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    costs[i][j] = self
-                        .model
-                        .predict_slowdown(&self.st_true[&apps[i]], &self.st_true[&apps[j]]);
-                }
-            }
-        }
+        let costs = cost_matrix(&self.model, &self.st_true, &apps);
         let (idx_pairs, idx_singles) = paired_assignment(&costs, 0.0, min_cost_pairing);
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        Some(place_assignment(&apps, &idx_pairs, &idx_singles, view))
     }
 }
 
@@ -906,7 +824,7 @@ mod tests {
     fn pairs_to_slots_is_a_valid_placement() {
         let placement = placement8();
         let pairs = vec![(0, 1), (2, 3), (4, 5), (6, 7)];
-        let out = pairs_to_slots(&pairs, &placement, 2);
+        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
         let mut slots: Vec<usize> = out.iter().map(|&(_, s)| s.0).collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..8).collect::<Vec<_>>());
@@ -925,7 +843,7 @@ mod tests {
         let placement = placement8();
         // Keep the exact same pairs: nobody should change cores.
         let pairs = vec![(0, 4), (1, 5), (2, 6), (3, 7)];
-        let out = pairs_to_slots(&pairs, &placement, 2);
+        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
         for &(app, slot) in &out {
             let old = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
             assert_eq!(slot.core(2), old.core(2), "app {app} should not move");
@@ -968,16 +886,6 @@ mod tests {
             let on_core = out.iter().filter(|&&(_, sl)| sl.core(2) == c).count();
             assert_eq!(on_core, 1, "single {s} shares core {c}");
         }
-    }
-
-    #[test]
-    fn units_to_slots_matches_pairs_to_slots_without_singles() {
-        let placement = placement8();
-        let pairs = vec![(0, 1), (2, 3), (4, 5), (6, 7)];
-        assert_eq!(
-            pairs_to_slots(&pairs, &placement, 2),
-            units_to_slots(&pairs, &[], &placement, 2, &[])
-        );
     }
 
     #[test]

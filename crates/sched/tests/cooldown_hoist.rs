@@ -8,10 +8,6 @@
 //! deterministic 40-quantum drifting-sample scenario and pins the exact
 //! decision trace (FNV-1a over the Debug rendering) and migration count
 //! captured from the pre-hoist implementation.
-//!
-//! Pinned with `repredict_epsilon = 0`: zero epsilon makes the incremental
-//! cost cache bit-equal to a full rebuild, isolating the gate reordering
-//! from the (intentional, sub-epsilon) gating effects.
 
 use synpa_sched::{Policy, QuantumView, Synpa};
 use synpa_sim::{PmuCounters, PmuDelta, Slot};
@@ -67,9 +63,6 @@ fn hoisted_cooldown_gate_preserves_every_decision() {
     // cooldown gate is what actually spaces migrations out — the
     // interaction the hoist could have broken.
     policy.hysteresis = 0.0;
-    // Zero epsilon makes the dirty-row cost cache bit-equal to a full
-    // rebuild, isolating the gate reordering under test.
-    policy.repredict_epsilon = 0.0;
     let mut placement: Vec<(usize, Slot)> = (0..4usize)
         .flat_map(|k| [(k, Slot(2 * k)), (k + 4, Slot(2 * k + 1))])
         .collect();
@@ -124,8 +117,7 @@ fn hoisted_cooldown_gate_preserves_every_decision() {
         }
     }
     // Values captured from the pre-hoist decision path on this exact
-    // scenario; the hoist (and the epsilon-0 incremental cost cache) must
-    // reproduce them byte for byte.
+    // scenario; the hoist must reproduce them byte for byte.
     assert_eq!(migrations, 14, "trace: {trace}");
     assert_eq!(
         fnv1a(trace.as_bytes()),

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use synpa::model::{Categories, CategoryCoeffs, SynpaModel};
 use synpa::prelude::*;
-use synpa::sched::{pairs_to_slots, QuantumView};
+use synpa::sched::{units_to_slots, QuantumView};
 use synpa::sim::PmuCounters;
 
 fn test_model() -> SynpaModel {
@@ -166,7 +166,7 @@ proptest! {
     fn pairs_to_slots_never_splits_pairs(perm in proptest::sample::subsequence((0..8usize).collect::<Vec<_>>(), 8).prop_shuffle()) {
         let placement: Vec<(usize, Slot)> = (0..8usize).map(|a| (a, Slot(a))).collect();
         let pairs: Vec<(usize, usize)> = perm.chunks(2).map(|c| (c[0], c[1])).collect();
-        let out = pairs_to_slots(&pairs, &placement, 2);
+        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
         assert_valid_placement(&out, 8);
         for &(a, b) in &pairs {
             let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core(2);
