@@ -59,18 +59,6 @@ pub fn characterize_isolated_with(
     }
 }
 
-/// Measures the per-launch target instruction count for each app: the
-/// paper's "run 60 seconds in isolation and record retired instructions"
-/// (§V-B), with the 60 s scaled to `cycles` simulated cycles.
-pub fn measure_target_lengths(apps: &[AppProfile], warmup: u64, cycles: u64) -> Vec<u64> {
-    apps.iter()
-        .map(|a| {
-            let run = characterize_isolated(a, warmup, cycles);
-            run.retired.max(1)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,17 +72,6 @@ mod tests {
         assert!(run.retired > 0);
         assert!((run.fractions.total() - 1.0).abs() < 1e-6);
         assert!(run.ipc > 0.0 && run.ipc <= 4.0);
-    }
-
-    #[test]
-    fn target_lengths_track_app_speed() {
-        let fast = spec::by_name("exchange2_r").unwrap(); // compute bound
-        let slow = spec::by_name("mcf").unwrap(); // memory bound
-        let lens = measure_target_lengths(&[fast, slow], 10_000, 30_000);
-        assert!(
-            lens[0] > lens[1],
-            "compute app should retire more: {lens:?}"
-        );
     }
 
     #[test]

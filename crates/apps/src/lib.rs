@@ -20,13 +20,13 @@
 
 mod characterize;
 mod classify;
+mod parallel;
 mod profile;
 pub mod spec;
 pub mod workload;
 
-pub use characterize::{
-    characterize_isolated, characterize_isolated_with, measure_target_lengths, IsolatedRun,
-};
+pub use characterize::{characterize_isolated, characterize_isolated_with, IsolatedRun};
 pub use classify::{Fractions, Group};
+pub use parallel::parallel_map;
 pub use profile::{AppProfile, Phase};
 pub use workload::{Workload, WorkloadKind, WORKLOAD_SIZE};

@@ -15,22 +15,16 @@
 //! * [`SanitizingSession`] — classifies each sample (ok / clamped / held /
 //!   missing), clamps rollbacks, holds over last-good deltas, and keeps a
 //!   per-app [`SampleHealth`] ledger (see `docs/robustness.md`).
-//! * [`TraceWriter`] / [`TraceReplay`] — record deltas to a JSON-lines trace
-//!   and replay them later, so model training can run offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faults;
-mod replay;
 mod sanitize;
 mod source;
 
 pub use faults::{
     FaultConfig, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultySource, InjectedCounts,
 };
-pub use replay::{read_trace, QuantumRecord, TraceError, TraceReplay, TraceWriter};
-pub use sanitize::{
-    SampleHealth, SampleStatus, SanitizedQuantum, SanitizingSession, DEFAULT_HOLDOVER_TTL,
-};
+pub use sanitize::{SampleHealth, SampleStatus, SanitizedQuantum, SanitizingSession};
 pub use source::{CounterSource, SamplingSession};

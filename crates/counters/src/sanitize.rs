@@ -30,7 +30,7 @@ use synpa_sim::PmuDelta;
 
 /// How long (in quanta) a last-good delta may be replayed for an app whose
 /// reads keep failing, before the app goes [`SampleStatus::Missing`].
-pub const DEFAULT_HOLDOVER_TTL: u64 = 3;
+const HOLDOVER_TTL: u64 = 3;
 
 /// Classification of one per-app, per-quantum sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,7 +126,6 @@ pub struct SanitizingSession {
     /// successful read, regardless of classification).
     last_observed: HashMap<usize, u64>,
     health: HashMap<usize, SampleHealth>,
-    holdover_ttl: u64,
     /// Upper bound on plausible cycles per quantum, when known. A delta
     /// spanning `g` quanta may carry at most `(g + 1) *
     /// max_cycles_per_quantum` cycles — the +1 quantum of slack lets a
@@ -142,23 +141,15 @@ impl Default for SanitizingSession {
 }
 
 impl SanitizingSession {
-    /// Creates an empty session with the default holdover TTL and no
-    /// cycle-plausibility bound.
+    /// Creates an empty session with no cycle-plausibility bound.
     pub fn new() -> Self {
         Self {
             session: SamplingSession::new(),
             last_good: HashMap::new(),
             last_observed: HashMap::new(),
             health: HashMap::new(),
-            holdover_ttl: DEFAULT_HOLDOVER_TTL,
             max_cycles_per_quantum: None,
         }
-    }
-
-    /// Sets the holdover TTL (quanta a last-good delta stays replayable).
-    pub fn with_holdover_ttl(mut self, ttl: u64) -> Self {
-        self.holdover_ttl = ttl;
-        self
     }
 
     /// Enables the cycle-plausibility check: a healthy app sampled every
@@ -232,7 +223,7 @@ impl SanitizingSession {
         out: &mut SanitizedQuantum,
     ) -> SampleStatus {
         match self.last_good.get(&id) {
-            Some(&(delta, at)) if quantum.saturating_sub(at) <= self.holdover_ttl => {
+            Some(&(delta, at)) if quantum.saturating_sub(at) <= HOLDOVER_TTL => {
                 out.samples.push((id, delta));
                 SampleStatus::Held
             }
@@ -343,7 +334,7 @@ mod tests {
         let mut reads = vec![Some(cum(1000, 100, 200))];
         reads.extend(std::iter::repeat_n(None, 5));
         let src = Scripted::new(reads);
-        let mut s = SanitizingSession::new().with_holdover_ttl(3);
+        let mut s = SanitizingSession::new();
         assert_eq!(s.sample(&src, &[2], 0).statuses[0].1, SampleStatus::Ok);
         for q in 1..=3 {
             let out = s.sample(&src, &[2], q);

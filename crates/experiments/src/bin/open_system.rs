@@ -141,7 +141,6 @@ fn main() {
         // overload and storm rows actually shed, large enough that light load never
         // does (drop-newest; see docs/service.md).
         queue_capacity: queue_capacity.unwrap_or(slots),
-        ..ServiceConfig::default()
     };
 
     // Solo launch time ~= target_window cycles and an SMT2 pair retires

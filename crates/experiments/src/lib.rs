@@ -1,7 +1,7 @@
 //! Shared plumbing for the per-table/per-figure experiment binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library provides:
+//! Every binary in `src/bin/` regenerates one table or figure of the paper,
+//! named in the binary's module doc. This library provides:
 //!
 //! * the canonical train/holdout application split (§IV-C's 80 %),
 //! * a disk-cached trained model so binaries don't retrain redundantly,

@@ -14,11 +14,11 @@
 
 use crate::categories::Categories;
 use crate::regression::CategoryCoeffs;
-use crate::training::{run_parallel, TrainingConfig};
+use crate::training::TrainingConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_apps::AppProfile;
+use synpa_apps::{parallel_map, AppProfile};
 use synpa_counters::SamplingSession;
 use synpa_sim::{Chip, PmuDelta, Slot};
 
@@ -141,15 +141,14 @@ pub fn collect_ten_samples(
     cfg: &TrainingConfig,
     threads: usize,
 ) -> Vec<TenSample> {
-    let profiles: Vec<_> = run_parallel(apps.len(), threads, |i| ten_profile(&apps[i], cfg));
+    let profiles: Vec<_> = parallel_map(apps, threads, |app| ten_profile(app, cfg));
     let mut pairs = Vec::new();
     for i in 0..apps.len() {
         for j in i..apps.len() {
             pairs.push((i, j));
         }
     }
-    let results: Vec<Vec<TenSample>> = run_parallel(pairs.len(), threads, |k| {
-        let (i, j) = pairs[k];
+    let results: Vec<Vec<TenSample>> = parallel_map(&pairs, threads, |&(i, j)| {
         let mut chip_cfg = cfg.chip.clone();
         chip_cfg.cores = 1;
         let width = chip_cfg.core.dispatch_width;

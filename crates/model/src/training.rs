@@ -18,7 +18,7 @@ use crate::regression::{CategoryCoeffs, SynpaModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_apps::AppProfile;
+use synpa_apps::{parallel_map, AppProfile};
 use synpa_counters::SamplingSession;
 use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
 
@@ -155,19 +155,8 @@ pub struct PairSample {
 
 /// Runs `app_i` and `app_j` together on one SMT2 core and collects one
 /// sample per thread per quantum, aligned to the ST profiles by committed
-/// instructions.
-pub fn collect_pair_samples(
-    app_i: &AppProfile,
-    app_j: &AppProfile,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
-    cfg: &TrainingConfig,
-) -> Vec<PairSample> {
-    collect_pair_samples_ids(app_i, app_j, prof_i, prof_j, cfg, 0, 1)
-}
-
-/// [`collect_pair_samples`] with explicit training-set indices recorded in
-/// the samples (used by the within-app model selection).
+/// instructions. The samples record `id_i` and `id_j` as the apps'
+/// training-set indices.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_pair_samples_ids(
     app_i: &AppProfile,
@@ -235,8 +224,8 @@ pub struct FitReport {
 
 /// Errors produced when training data cannot support a fit. These are
 /// *data* problems (empty app set, collapsed category space), not bugs:
-/// callers feeding recorded traces or ablated sample sets get a
-/// descriptive error instead of a panic deep inside the solver.
+/// callers feeding ablated sample sets get a descriptive error instead of
+/// a panic deep inside the solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainingError {
     /// No pair samples at all: the application set was empty or every
@@ -287,7 +276,7 @@ pub fn collect_all_samples(
     threads: usize,
 ) -> Vec<PairSample> {
     // Isolated profiles (parallel over apps).
-    let profiles: Vec<StProfile> = run_parallel(apps.len(), threads, |i| st_profile(&apps[i], cfg));
+    let profiles: Vec<StProfile> = parallel_map(apps, threads, |app| st_profile(app, cfg));
     // All unordered pairs, including (i, i): two instances of one app.
     let mut pairs = Vec::new();
     for i in 0..apps.len() {
@@ -295,8 +284,7 @@ pub fn collect_all_samples(
             pairs.push((i, j));
         }
     }
-    let results: Vec<Vec<PairSample>> = run_parallel(pairs.len(), threads, |k| {
-        let (i, j) = pairs[k];
+    let results: Vec<Vec<PairSample>> = parallel_map(&pairs, threads, |&(i, j)| {
         collect_pair_samples_ids(&apps[i], &apps[j], &profiles[i], &profiles[j], cfg, i, j)
     });
     results.into_iter().flatten().collect()
@@ -399,102 +387,6 @@ pub fn fit_from_samples(
     })
 }
 
-/// Builds an ST profile from a recorded isolated-execution counter trace
-/// (one app, one record per quantum). This is the offline path: on real
-/// hardware the same JSON-lines trace would be captured with `perf` and the
-/// model fitted without ever re-running the application.
-pub fn st_profile_from_trace(
-    name: &str,
-    records: &[synpa_counters::QuantumRecord],
-    dispatch_width: u32,
-    split: RevealsSplit,
-) -> StProfile {
-    let mut quanta = Vec::with_capacity(records.len());
-    let mut cum = 0u64;
-    let mut sorted: Vec<_> = records.iter().collect();
-    sorted.sort_by_key(|r| r.quantum);
-    for r in sorted {
-        let delta = r.to_delta();
-        cum += delta.inst_retired;
-        quanta.push((
-            cum,
-            Categories::from_delta_with(&delta, dispatch_width, split),
-        ));
-    }
-    StProfile {
-        name: name.to_string(),
-        quanta,
-    }
-}
-
-/// Builds pair samples from a recorded SMT co-run trace of two applications
-/// (`app_i`, `app_j` are the app ids used in the records) plus their
-/// isolated profiles — the offline equivalent of [`collect_pair_samples`].
-pub fn pair_samples_from_trace(
-    records: &[synpa_counters::QuantumRecord],
-    app_i: usize,
-    app_j: usize,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
-    dispatch_width: u32,
-    split: RevealsSplit,
-) -> Vec<PairSample> {
-    let mut replay = synpa_counters::TraceReplay::new(records.to_vec());
-    let (mut cum_i, mut cum_j) = (0u64, 0u64);
-    let mut out = Vec::new();
-    while let Some(samples) = replay.next_quantum() {
-        let d_i = samples.iter().find(|(id, _)| *id == app_i).map(|(_, d)| *d);
-        let d_j = samples.iter().find(|(id, _)| *id == app_j).map(|(_, d)| *d);
-        let (Some(d_i), Some(d_j)) = (d_i, d_j) else {
-            continue;
-        };
-        let st_i = prof_i.at(cum_i + d_i.inst_retired / 2);
-        let st_j = prof_j.at(cum_j + d_j.inst_retired / 2);
-        cum_i += d_i.inst_retired;
-        cum_j += d_j.inst_retired;
-        out.push(PairSample {
-            app_i,
-            app_j,
-            st_i,
-            st_j,
-            smt_ij: Categories::from_delta_with(&d_i, dispatch_width, split),
-        });
-        out.push(PairSample {
-            app_i: app_j,
-            app_j: app_i,
-            st_i: st_j,
-            st_j: st_i,
-            smt_ij: Categories::from_delta_with(&d_j, dispatch_width, split),
-        });
-    }
-    out
-}
-
-/// Runs `n` independent jobs on up to `threads` workers, preserving order.
-pub(crate) fn run_parallel<T: Send>(
-    n: usize,
-    threads: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.max(1).min(n.max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots_ref = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let result = job(k);
-                slots_ref.lock().unwrap()[k] = Some(result);
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.unwrap()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,7 +429,7 @@ mod tests {
         let b = spec::by_name("nab_r").unwrap();
         let pa = st_profile(&a, &cfg);
         let pb = st_profile(&b, &cfg);
-        let samples = collect_pair_samples(&a, &b, &pa, &pb, &cfg);
+        let samples = collect_pair_samples_ids(&a, &b, &pa, &pb, &cfg, 0, 1);
         assert_eq!(samples.len(), cfg.smt_quanta * 2);
         // SMT CPI of a memory-bound app should exceed its ST CPI: running
         // with a co-runner cannot speed it up.
@@ -577,68 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_based_training_matches_live_collection() {
-        use synpa_counters::{QuantumRecord, SamplingSession};
-        use synpa_sim::{Chip, Slot};
-        let cfg = tiny_cfg();
-        let a = spec::by_name("mcf").unwrap();
-        let b = spec::by_name("nab_r").unwrap();
-        // Live path.
-        let pa = st_profile(&a, &cfg);
-        let pb = st_profile(&b, &cfg);
-        let live = collect_pair_samples(&a, &b, &pa, &pb, &cfg);
-        // Offline path: record the same SMT co-run to a trace, then rebuild
-        // samples from the trace.
-        let mut chip_cfg = cfg.chip.clone();
-        chip_cfg.cores = 1;
-        let width = chip_cfg.core.dispatch_width;
-        let mut chip = Chip::new(chip_cfg);
-        chip.attach(Slot(0), 0, Box::new(a.clone().with_length(u64::MAX)));
-        chip.attach(Slot(1), 1, Box::new(b.clone().with_length(u64::MAX)));
-        chip.run_cycles(cfg.warmup);
-        let mut session = SamplingSession::new();
-        session.sample(&chip, &[0, 1]);
-        let mut records = Vec::new();
-        for q in 0..cfg.smt_quanta as u64 {
-            chip.run_cycles(cfg.quantum);
-            for (app, d) in session.sample(&chip, &[0, 1]) {
-                records.push(QuantumRecord::from_delta(q, app, &d));
-            }
-        }
-        let offline = pair_samples_from_trace(&records, 0, 1, &pa, &pb, width, cfg.split);
-        assert_eq!(offline.len(), live.len());
-        for (x, y) in offline.iter().zip(&live) {
-            assert_eq!(x.smt_ij.as_array(), y.smt_ij.as_array());
-            assert_eq!(x.st_i.as_array(), y.st_i.as_array());
-        }
-    }
-
-    #[test]
-    fn st_profile_from_trace_accumulates() {
-        use synpa_counters::QuantumRecord;
-        use synpa_sim::PmuCounters;
-        let records: Vec<QuantumRecord> = (0..5)
-            .map(|q| {
-                QuantumRecord::from_delta(
-                    q,
-                    0,
-                    &PmuCounters {
-                        cpu_cycles: 1000,
-                        inst_spec: 2000,
-                        stall_frontend: 100,
-                        stall_backend: 300,
-                        inst_retired: 2000,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        let prof = st_profile_from_trace("x", &records, 4, RevealsSplit::AllToBackend);
-        assert_eq!(prof.quanta.len(), 5);
-        assert_eq!(prof.quanta.last().unwrap().0, 10_000);
-    }
-
-    #[test]
     fn empty_sample_set_is_a_descriptive_error() {
         let err = fit_from_samples(&[], &tiny_cfg()).unwrap_err();
         assert_eq!(err, TrainingError::NoSamples);
@@ -666,11 +496,5 @@ mod tests {
             "got {err:?}"
         );
         assert!(err.to_string().contains("degenerate training data"));
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let out = run_parallel(16, 4, |i| i * 2);
-        assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
     }
 }

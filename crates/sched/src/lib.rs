@@ -40,8 +40,9 @@ pub use policy::{
     QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
-    cv, discard_outliers, parallel_map, prepare_workload, prepare_workloads, run_cell, CellOutcome,
+    cv, discard_outliers, prepare_workload, prepare_workloads, run_cell, CellOutcome,
     ExperimentConfig, PreparedWorkload,
 };
 pub use scheduler::first_free_slot;
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
+pub use synpa_apps::parallel_map;

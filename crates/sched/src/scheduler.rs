@@ -48,6 +48,23 @@ pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
     None
 }
 
+/// Watchdog horizon: an on-chip app that retires zero instructions for
+/// this many consecutive quanta is declared hung and evicted. Catches the
+/// planned `Hang` execution fault (and anything else that wedges) without
+/// any privileged knowledge of the fault plan.
+const WATCHDOG_QUANTA: u64 = 3;
+
+/// Retry budget per app in the open system: an evicted app (core outage,
+/// crash, hang) is re-queued at most this many times; the next eviction
+/// reports it `failed`. Retries bypass the admission-capacity check — an
+/// admitted app is never shed (the drop-newest rule holds at the door
+/// only).
+const MAX_RETRIES: u32 = 2;
+
+/// Quanta an evicted app waits before its retry re-enters the queue —
+/// crash-looping apps must not hammer the admission path.
+const RETRY_BACKOFF_QUANTA: u64 = 2;
+
 /// How arrivals, completions and evictions are handled.
 ///
 /// The closed batch (§V-B) keeps due arrivals in an unbounded FIFO,
@@ -274,9 +291,9 @@ impl<'a> Scheduler<'a> {
                 }
                 self.queue.push_back(app);
             }
-            (Mode::Open(svc), AppState::Running { retries, .. }) if retries < svc.max_retries => {
+            (Mode::Open(_), AppState::Running { retries, .. }) if retries < MAX_RETRIES => {
                 self.chip_faults.retries += 1;
-                let due = self.quantum + 1 + svc.retry_backoff_quanta;
+                let due = self.quantum + 1 + RETRY_BACKOFF_QUANTA;
                 self.backoff.push_back((due, app));
                 self.state[app] = AppState::Backoff {
                     retries: retries + 1,
@@ -384,10 +401,10 @@ impl<'a> Scheduler<'a> {
     /// watchdog. Completion wins a same-quantum tie (it was handled first).
     /// Crashes detach at once; hangs wedge the thread in place, and the
     /// watchdog catches them like any other app that retires nothing for
-    /// `watchdog_quanta` consecutive quanta — from the public PMU alone,
+    /// [`WATCHDOG_QUANTA`] consecutive quanta — from the public PMU alone,
     /// with no knowledge of the fault plan.
     fn app_faults_and_watchdog(&mut self) {
-        let (Mode::Open(svc), Some(drv)) = (self.mode, self.faults.as_ref()) else {
+        let (Mode::Open(_), Some(drv)) = (self.mode, self.faults.as_ref()) else {
             return;
         };
         let plan = *drv.plan();
@@ -423,7 +440,7 @@ impl<'a> Scheduler<'a> {
                 *stalled = 0;
                 *last_retired = retired;
             }
-            if *stalled >= svc.watchdog_quanta {
+            if *stalled >= WATCHDOG_QUANTA {
                 self.chip.detach(slot);
                 self.evict(app);
             }

@@ -48,19 +48,6 @@ pub struct ServiceConfig {
     /// already waiting is shed (drop-newest). Capacity 0 means no queueing
     /// at all: arrivals not immediately placeable are shed.
     pub queue_capacity: usize,
-    /// Watchdog horizon: an on-chip app that retires zero instructions for
-    /// this many consecutive quanta is declared hung and evicted. Catches
-    /// the planned `Hang` execution fault (and anything else that wedges)
-    /// without any privileged knowledge of the fault plan.
-    pub watchdog_quanta: u64,
-    /// Retry budget per app: an evicted app (core outage, crash, hang) is
-    /// re-queued at most this many times; the next eviction reports it
-    /// `failed`. Retries bypass the admission-capacity check — an admitted
-    /// app is never shed (the drop-newest rule holds at the door only).
-    pub max_retries: u32,
-    /// Quanta an evicted app waits before its retry re-enters the queue —
-    /// crash-looping apps must not hammer the admission path.
-    pub retry_backoff_quanta: u64,
 }
 
 impl Default for ServiceConfig {
@@ -68,9 +55,6 @@ impl Default for ServiceConfig {
         Self {
             manager: ManagerConfig::default(),
             queue_capacity: 64,
-            watchdog_quanta: 3,
-            max_retries: 2,
-            retry_backoff_quanta: 2,
         }
     }
 }
@@ -228,7 +212,6 @@ mod tests {
                 chip_faults: None,
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         }
     }
 
@@ -325,7 +308,6 @@ mod tests {
                 chip_faults: None,
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         };
         let mut policy = LinuxLike;
         let r = run_service(&apps, &arrivals, &mut policy, &cfg);
@@ -377,7 +359,6 @@ mod tests {
                 chip_faults: Some(synpa_sim::ChipFaultConfig::uniform(3, rate)),
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         }
     }
 
@@ -415,7 +396,7 @@ mod tests {
         assert!(s.retries > 0, "evictions must be retried first: {s:?}");
         assert_eq!(s.failed, r.failed.len() as u64);
         // A failed app burned its full budget: the failure event is its
-        // (max_retries + 1)-th eviction.
+        // (MAX_RETRIES + 1)-th eviction.
         for &app in &r.failed {
             assert!(
                 !r.completed.iter().any(|a| a.app == app),

@@ -131,7 +131,6 @@ fn service_cfg(cores: u32, queue_capacity: usize) -> ServiceConfig {
             ..ManagerConfig::default()
         },
         queue_capacity,
-        ..ServiceConfig::default()
     }
 }
 
@@ -298,7 +297,6 @@ fn service_chip_faults_retry_and_fail() {
             ..ManagerConfig::default()
         },
         queue_capacity: 8,
-        ..ServiceConfig::default()
     };
     let arrivals = [0, 0, 20_000, 20_000, 40_000, 60_000];
     let apps = apps(&SIX, 200_000);
@@ -334,7 +332,6 @@ fn service_counter_faults_trip_the_guardrails() {
             ..ManagerConfig::default()
         },
         queue_capacity: 8,
-        ..ServiceConfig::default()
     };
     let arrivals = [0, 0, 0, 0, 10_000, 10_000, 30_000, 50_000];
     let apps = apps(&EIGHT, 60_000);

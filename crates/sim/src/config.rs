@@ -4,7 +4,7 @@
 //! CN9975, Vulcan microarchitecture) with the clock scaled down so that a
 //! full 20-workload evaluation completes in minutes instead of hours. All
 //! reported quantities are ratios of cycle counts, so uniform time scaling
-//! preserves the shape of every result (see DESIGN.md §5).
+//! preserves the shape of every result.
 
 use crate::engine::EngineKind;
 
@@ -108,7 +108,7 @@ pub struct ChipConfig {
 
 impl ChipConfig {
     /// Configuration mirroring Table II of the paper, with capacities scaled
-    /// by 1/8 so that the scaled-down instruction streams (DESIGN.md §5)
+    /// by 1/8 so that the scaled-down instruction streams (module doc)
     /// exercise the same hit/miss regimes the full-size machine would.
     ///
     /// `cores` is the number of SMT2 cores to instantiate; the paper's

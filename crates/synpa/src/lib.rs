@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | processor | [`sim`] | cycle-approximate SMT2 multicore (ThunderX2-like) with the four ARMv8.1 PMU events |
 //! | applications | [`apps`] | 28 SPEC-CPU-like phase models + the 20-workload evaluation suite |
-//! | counters | [`counters`] | the `perf`-like sampling seam + trace record/replay |
+//! | counters | [`counters`] | the `perf`-like sampling seam + fault injection and sanitizing |
 //! | model | [`model`] | 3-category dispatch characterization, Equation-1 regression, inversion, training |
 //! | matching | [`matching`] | Edmonds' Blossom minimum-cost perfect pairing |
 //! | policy | [`sched`] | the SYNPA policy, Linux-like/Random/Oracle baselines, the quantum manager |

@@ -79,7 +79,6 @@ fn chaos_service_cfg(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -
             chip_faults,
         },
         queue_capacity: 6,
-        ..ServiceConfig::default()
     }
 }
 

@@ -1,15 +1,10 @@
 //! Property tests over the counter-sampling seam: `SamplingSession` under
 //! random sample/forget interleavings must always emit the delta since the
-//! last observation (full cumulative counts after a forget), and a
-//! sanitized trace recorded from a *faulted* source must round-trip
-//! byte-exactly through `TraceWriter` → `read_trace` → `TraceReplay`.
+//! last observation (full cumulative counts after a forget).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use synpa::counters::{
-    read_trace, CounterSource, FaultConfig, FaultInjector, QuantumRecord, SamplingSession,
-    SanitizingSession, TraceReplay, TraceWriter,
-};
+use synpa::counters::{CounterSource, SamplingSession};
 use synpa::sim::PmuCounters;
 
 /// A source whose cumulative counters are set directly by the test; all
@@ -97,54 +92,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    // A trace recorded from a *faulted* source through the sanitizer
-    // round-trips exactly: `read_trace` returns the records byte-for-byte
-    // and `TraceReplay` regroups them into the original quanta.
-    #[test]
-    fn faulted_trace_roundtrips_through_writer_and_replay(seed in 0u64..u64::MAX, rate in 0.0f64..0.4) {
-        let mut source = Scripted::default();
-        for app in 0..3 {
-            source.advance(app, 1);
-        }
-        let cfg = FaultConfig::uniform(seed, rate);
-        let mut injector = FaultInjector::new(&cfg);
-        let mut session = SanitizingSession::new().with_cycle_bound(1_000);
-        let mut writer = TraceWriter::new(Vec::new());
-        let mut per_quantum: Vec<Vec<(usize, synpa::sim::PmuDelta)>> = Vec::new();
-        for q in 0..12u64 {
-            for app in 0..3 {
-                source.advance(app, 1_000);
-            }
-            injector.begin_quantum(q);
-            let wrapped = injector.wrap(&source);
-            let sanitized = session.sample(&wrapped, &[0, 1, 2], q);
-            for &(app, ref d) in &sanitized.samples {
-                writer.write(&QuantumRecord::from_delta(q, app, d)).unwrap();
-            }
-            if !sanitized.samples.is_empty() {
-                per_quantum.push(sanitized.samples.clone());
-            }
-        }
-        let bytes = writer.finish().unwrap();
-        let records = read_trace(std::io::BufReader::new(&bytes[..])).unwrap();
-        prop_assert_eq!(records.len() as u64, per_quantum.iter().map(|q| q.len() as u64).sum::<u64>());
-        let mut replay = TraceReplay::new(records);
-        for expected in &per_quantum {
-            let got = replay.next_quantum().expect("quantum present");
-            prop_assert_eq!(got.len(), expected.len());
-            for ((ga, gd), (ea, ed)) in got.iter().zip(expected) {
-                prop_assert_eq!(ga, ea);
-                // Extended events are not traced; the four PMU events and
-                // retired instructions must survive exactly.
-                prop_assert_eq!(gd.cpu_cycles, ed.cpu_cycles);
-                prop_assert_eq!(gd.inst_spec, ed.inst_spec);
-                prop_assert_eq!(gd.stall_frontend, ed.stall_frontend);
-                prop_assert_eq!(gd.stall_backend, ed.stall_backend);
-                prop_assert_eq!(gd.inst_retired, ed.inst_retired);
-            }
-        }
-        prop_assert!(replay.next_quantum().is_none());
     }
 }
