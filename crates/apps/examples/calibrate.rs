@@ -3,8 +3,8 @@
 //! The tuning tool used to fit the synthetic app models to the paper's
 //! Fig. 4 (see crates/apps/tests/table3_fidelity.rs for the enforced form).
 
-use synpa_apps::{characterize_isolated, spec};
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
+use synpa_apps::{co_run, spec, Fractions};
+use synpa_sim::{ChipConfig, ThreadProgram};
 
 fn main() {
     println!(
@@ -22,24 +22,18 @@ fn main() {
         "l1dMR",
         "l1iMR"
     );
+    let cfg = ChipConfig::thunderx2(1);
     let mut bad = 0;
     for app in spec::catalog() {
-        let r = characterize_isolated(&app, 80_000, 120_000);
-        let f = r.fractions;
+        // The isolated characterization window, extended counters included.
+        let d = co_run(&[&app], &cfg, 80_000, 120_000, 1)[0][0];
+        let f = Fractions::from_pmu(&d, cfg.core.dispatch_width);
         let got = f.group();
         let want = spec::expected_group(app.name()).unwrap();
-        // re-run to get ext counters
-        let mut cfg = ChipConfig::thunderx2(1);
-        cfg.cores = 1;
-        let mut chip = Chip::new(cfg);
-        chip.attach(Slot(0), 0, Box::new(app.clone().with_length(u64::MAX)));
-        chip.run_cycles(80_000);
-        let before = *chip.pmu_of(0).unwrap();
-        chip.run_cycles(120_000);
-        let d = chip.pmu_of(0).unwrap().delta_since(&before);
         let c = d.cpu_cycles as f64;
+        let ipc = d.inst_retired as f64 / d.cpu_cycles.max(1) as f64;
         println!("{:<14} {:>5.1}% {:>5.1}% {:>5.1}% {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% | {:>5.1}% {:>5.1}% {}",
-            app.name(), f.full_dispatch*100.0, f.frontend*100.0, f.backend*100.0, r.ipc,
+            app.name(), f.full_dispatch*100.0, f.frontend*100.0, f.backend*100.0, ipc,
             d.ext.stall_dcache as f64/c*100.0, d.ext.stall_rob_full as f64/c*100.0,
             d.ext.stall_iq_full as f64/c*100.0, d.ext.stall_lsq_full as f64/c*100.0,
             d.ext.stall_width as f64/c*100.0,

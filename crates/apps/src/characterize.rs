@@ -1,12 +1,48 @@
-//! Isolated-execution characterization (paper Fig. 4 methodology).
+//! Dedicated-core profiling runs: [`co_run`] and the isolated-execution
+//! characterization built on it (paper Fig. 4 methodology).
 //!
-//! Runs one application alone on one core (ST mode), discards a warm-up
-//! period so cold caches don't skew the fractions, and reports the step-3
-//! category breakdown.
+//! Every profiling run in the workspace (calibration, the ST profiles and
+//! SMT pair runs of training, the ablations, the probes) is one [`co_run`]:
+//! one to two applications alone on one core, a warm-up discarded so cold
+//! caches don't skew the windows, then counter deltas per window.
 
 use crate::classify::Fractions;
 use crate::profile::AppProfile;
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
+use synpa_sim::{Chip, ChipConfig, PmuDelta, Slot, ThreadProgram};
+
+/// Runs `apps[k]` on hardware context `k` of a one-core copy of `chip`,
+/// discards `warmup` cycles, then measures `quanta` consecutive windows of
+/// `quantum` cycles. Returns each app's counter deltas per window:
+/// `out[k][w]` is app `k` in window `w`.
+///
+/// Launches are endless, so a relaunch boundary never lands in a window.
+pub fn co_run(
+    apps: &[&AppProfile],
+    chip: &ChipConfig,
+    warmup: u64,
+    quantum: u64,
+    quanta: usize,
+) -> Vec<Vec<PmuDelta>> {
+    let mut cfg = chip.clone();
+    cfg.cores = 1;
+    let mut chip = Chip::new(cfg);
+    for (k, app) in apps.iter().enumerate() {
+        chip.attach(Slot(k), k, Box::new((*app).clone().with_length(u64::MAX)));
+    }
+    chip.run_cycles(warmup);
+    let read = |chip: &Chip, k: usize| *chip.pmu_of(k).expect("app attached");
+    let mut last: Vec<_> = (0..apps.len()).map(|k| read(&chip, k)).collect();
+    let mut out = vec![Vec::with_capacity(quanta); apps.len()];
+    for _ in 0..quanta {
+        chip.run_cycles(quantum);
+        for (k, prev) in last.iter_mut().enumerate() {
+            let now = read(&chip, k);
+            out[k].push(now.delta_since(prev));
+            *prev = now;
+        }
+    }
+    out
+}
 
 /// Result of an isolated characterization run.
 #[derive(Debug, Clone)]
@@ -31,28 +67,17 @@ pub fn characterize_isolated(app: &AppProfile, warmup: u64, measure: u64) -> Iso
 }
 
 /// Same as [`characterize_isolated`] with an explicit chip configuration
-/// (`cfg.cores` is forced to 1).
+/// (`cfg.cores` is forced to 1): a single-window [`co_run`].
 pub fn characterize_isolated_with(
     app: &AppProfile,
     warmup: u64,
     measure: u64,
     cfg: &ChipConfig,
 ) -> IsolatedRun {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    let width = cfg.core.dispatch_width;
-    let mut chip = Chip::new(cfg);
-    // Launch length irrelevant here; make it effectively infinite so a
-    // relaunch boundary never lands mid-measurement.
-    let endless = app.clone().with_length(u64::MAX);
-    chip.attach(Slot(0), 0, Box::new(endless));
-    chip.run_cycles(warmup);
-    let before = *chip.pmu_of(0).unwrap();
-    chip.run_cycles(measure);
-    let delta = chip.pmu_of(0).unwrap().delta_since(&before);
+    let delta = co_run(&[app], cfg, warmup, measure, 1)[0][0];
     IsolatedRun {
         name: app.name().to_string(),
-        fractions: Fractions::from_pmu(&delta, width),
+        fractions: Fractions::from_pmu(&delta, cfg.core.dispatch_width),
         retired: delta.inst_retired,
         cycles: delta.cpu_cycles,
         ipc: delta.inst_retired as f64 / delta.cpu_cycles.max(1) as f64,
@@ -81,5 +106,22 @@ mod tests {
         let b = characterize_isolated(&app, 5_000, 20_000);
         assert_eq!(a.retired, b.retired);
         assert_eq!(a.fractions, b.fractions);
+    }
+
+    #[test]
+    fn co_run_returns_one_window_series_per_app() {
+        let mcf = spec::by_name("mcf").unwrap();
+        let nab = spec::by_name("nab_r").unwrap();
+        let cfg = ChipConfig::thunderx2(4);
+        let out = co_run(&[&mcf, &nab], &cfg, 5_000, 2_000, 3);
+        assert_eq!(out.len(), 2);
+        for series in &out {
+            assert_eq!(series.len(), 3);
+            assert!(series.iter().all(|d| d.cpu_cycles == 2_000));
+        }
+        // Row k is app k: memory-bound mcf retires less than compute-bound
+        // nab_r in the same windows.
+        let retired = |k: usize| out[k].iter().map(|d| d.inst_retired).sum::<u64>();
+        assert!(retired(0) < retired(1));
     }
 }

@@ -25,7 +25,7 @@ mod profile;
 pub mod spec;
 pub mod workload;
 
-pub use characterize::{characterize_isolated, characterize_isolated_with, IsolatedRun};
+pub use characterize::{characterize_isolated, characterize_isolated_with, co_run, IsolatedRun};
 pub use classify::{Fractions, Group};
 pub use parallel::parallel_map;
 pub use profile::{AppProfile, Phase};

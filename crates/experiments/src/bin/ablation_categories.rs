@@ -2,8 +2,10 @@
 //! split by stall cause) and found it *worse* than the 3-category model.
 //! Reproduces that comparison on held-out CPI prediction error.
 
-use synpa::model::ablation::{collect_ten_samples, fit_ten, TEN_NAMES};
-use synpa::model::training::{collect_all_samples, fit_from_samples, TrainingConfig};
+use synpa::model::ablation::{fit_ten, ten_categories, TEN_NAMES};
+use synpa::model::training::{
+    collect_all_samples, collect_all_samples_with, fit_from_samples, TrainingConfig,
+};
 use synpa_experiments::{threads, training_split};
 
 fn main() {
@@ -27,7 +29,7 @@ fn main() {
         / holdout.len().max(1) as f64;
 
     println!("collecting 10-category training data...");
-    let samples10 = collect_ten_samples(&train_apps, &cfg, threads());
+    let samples10 = collect_all_samples_with(&train_apps, &cfg, threads(), ten_categories);
     let report10 = fit_ten(&samples10, &cfg);
 
     println!("\n§VI-A — 3-category vs 10-category model (held-out CPI prediction)");

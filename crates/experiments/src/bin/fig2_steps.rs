@@ -1,20 +1,14 @@
 //! Fig. 2: the three-step characterization of cycles at the dispatch stage,
 //! demonstrated on a live measurement of one application.
 
-use synpa::counters::SamplingSession;
+use synpa::apps::co_run;
 use synpa::model::{Categories, RevealsSplit};
 use synpa::prelude::*;
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or_else(|| "bwaves".into());
     let profile = spec::by_name(&app).expect("known application");
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(Slot(0), 0, Box::new(profile.with_length(u64::MAX)));
-    chip.run_cycles(60_000);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0]);
-    chip.run_cycles(100_000);
-    let d = session.sample(&chip, &[0]).pop().unwrap().1;
+    let d = co_run(&[&profile], &ChipConfig::thunderx2(1), 60_000, 100_000, 1)[0][0];
     let cycles = d.cpu_cycles as f64;
 
     println!("Fig. 2 — characterization of cycles at the dispatch stage ({app})");

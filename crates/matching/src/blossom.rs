@@ -17,9 +17,9 @@
 //! and blossom-membership matrices are flat row-major arrays sized
 //! `(2n+2)²`, and every per-solve buffer is reset in place rather than
 //! reallocated. The scheduler calls this once per quantum on dense n = 56
-//! graphs, so the steady state must not allocate — use
-//! [`max_weight_matching_in`] with a long-lived workspace (the convenience
-//! entry point [`max_weight_matching`] reuses a thread-local one).
+//! graphs, so the steady state must not allocate: both public entry points
+//! ([`max_weight_matching`] and `min_cost_pairing`) borrow one thread-local
+//! workspace.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -39,7 +39,7 @@ struct Edge {
 /// problem seen and reset in place per call, so repeated per-quantum
 /// matchings are allocation-free after the first.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Row-major `stride × stride` adjacency over vertices + pseudo-nodes.
     g: Vec<Edge>,
     /// Row-major `stride × stride` blossom-membership map.
@@ -56,7 +56,7 @@ pub struct Workspace {
     s: Vec<i8>,
     vis: Vec<usize>,
     q: VecDeque<usize>,
-    /// Integer-weight scratch for the pairing layer (`min_cost_pairing_in`).
+    /// Integer-weight scratch for the pairing layer (`min_cost_pairing`).
     pub(crate) int_weights: Vec<Vec<i64>>,
 }
 
@@ -481,14 +481,9 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// Computes a maximum-weight matching of the complete graph given by
-/// `weights` (symmetric, non-negative; `weights[u][u]` ignored; zero weight
-/// = edge absent), using `ws` for all scratch state.
-///
-/// Returns `(total_weight, mate)` where `mate[u] == Some(v)` iff `u` is
-/// matched to `v` (0-indexed). The returned mate vector is the only
-/// allocation; every solver buffer lives in the workspace.
-pub fn max_weight_matching_in(
+/// [`max_weight_matching`] with all scratch state in `ws`: the returned
+/// mate vector is the only allocation.
+pub(crate) fn max_weight_matching_in(
     ws: &mut Workspace,
     weights: &[Vec<i64>],
 ) -> (i64, Vec<Option<usize>>) {
@@ -522,7 +517,10 @@ pub(crate) fn with_shared_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R
     })
 }
 
-/// [`max_weight_matching_in`] through a shared thread-local workspace:
+/// Maximum-weight matching of the complete graph given by `weights`
+/// (symmetric, non-negative; `weights[u][u]` ignored; zero weight = edge
+/// absent). Returns `(total_weight, mate)` where `mate[u] == Some(v)` iff
+/// `u` is matched to `v`. Solves in a shared thread-local workspace, so
 /// repeated calls on one thread (the per-quantum scheduling path) are
 /// allocation-free in the steady state.
 pub fn max_weight_matching(weights: &[Vec<i64>]) -> (i64, Vec<Option<usize>>) {

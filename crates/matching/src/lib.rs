@@ -14,11 +14,9 @@
 //! * [`greedy_min_pairing`] — cheapest-edge-first heuristic baseline.
 //!
 //! The solver keeps all of its O(n²) scratch (adjacency, blossom forests,
-//! labels, queues) in a reusable [`Workspace`]; the plain entry points
-//! share a thread-local one, so the per-quantum n = 56 dense matching
-//! allocates nothing in the steady state. Callers that want explicit
-//! control (or several workspaces) use [`max_weight_matching_in`] /
-//! [`min_cost_pairing_in`].
+//! labels, queues, and the pairing layer's integer weights) in one
+//! thread-local workspace that both entry points share, so the per-quantum
+//! n = 56 dense matching allocates nothing in the steady state.
 //!
 //! ```
 //! use synpa_matching::min_cost_pairing;
@@ -38,7 +36,5 @@
 mod blossom;
 mod pairing;
 
-pub use blossom::{max_weight_matching, max_weight_matching_in, Workspace};
-pub use pairing::{
-    exhaustive_min_pairing, greedy_min_pairing, min_cost_pairing, min_cost_pairing_in, Pairing,
-};
+pub use blossom::max_weight_matching;
+pub use pairing::{exhaustive_min_pairing, greedy_min_pairing, min_cost_pairing, Pairing};

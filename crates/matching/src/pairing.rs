@@ -6,7 +6,7 @@
 //! real-valued; [`min_cost_pairing`] converts them to the non-negative
 //! integer maximization problem the blossom solver expects.
 
-use crate::blossom::{max_weight_matching_in, with_shared_workspace, Workspace};
+use crate::blossom::{max_weight_matching_in, with_shared_workspace};
 
 /// A perfect pairing of `2k` items.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,16 +49,18 @@ fn pairing_from_mate(costs: &[Vec<f64>], mate: &[Option<usize>]) -> Pairing {
     }
 }
 
-/// Finds the minimum-total-cost perfect pairing via blossom matching,
-/// using `ws` for every intermediate buffer (the integer weight matrix and
-/// all solver state), so a per-quantum caller allocates nothing but the
-/// returned pairing.
+/// Finds the minimum-total-cost perfect pairing via blossom matching.
+///
+/// Every intermediate buffer (the integer weight matrix and all solver
+/// state) lives in a thread-local workspace, so repeated calls on one
+/// thread (the SYNPA per-quantum decision path) allocate nothing but the
+/// returned pairing in the steady state.
 ///
 /// `costs` must be square with even dimension; it is symmetrized by
 /// averaging `costs[u][v]` and `costs[v][u]`, which matches the paper's use
 /// (the cost of a pair is slowdown(i|j) + slowdown(j|i), same in both
 /// directions).
-pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
+pub fn min_cost_pairing(costs: &[Vec<f64>]) -> Pairing {
     let n = check_square_even(costs);
     if n == 0 {
         return Pairing {
@@ -80,30 +82,26 @@ pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
     // transform minimizes total cost (the pair count is fixed at n/2).
     // The integer matrix lives in the workspace; rows are cleared and
     // refilled, never reallocated in the steady state.
-    let mut weights = std::mem::take(&mut ws.int_weights);
-    if weights.len() < n {
-        weights.resize_with(n, Vec::new);
-    }
-    for (u, row) in weights.iter_mut().enumerate().take(n) {
-        row.clear();
-        row.extend((0..n).map(|v| {
-            if u == v {
-                0
-            } else {
-                1 + ((max_c - sym(u, v)) * SCALE).round() as i64
-            }
-        }));
-    }
-    let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
-    ws.int_weights = weights;
+    let mate = with_shared_workspace(|ws| {
+        let mut weights = std::mem::take(&mut ws.int_weights);
+        if weights.len() < n {
+            weights.resize_with(n, Vec::new);
+        }
+        for (u, row) in weights.iter_mut().enumerate().take(n) {
+            row.clear();
+            row.extend((0..n).map(|v| {
+                if u == v {
+                    0
+                } else {
+                    1 + ((max_c - sym(u, v)) * SCALE).round() as i64
+                }
+            }));
+        }
+        let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
+        ws.int_weights = weights;
+        mate
+    });
     pairing_from_mate(costs, &mate)
-}
-
-/// [`min_cost_pairing_in`] through the shared thread-local workspace:
-/// repeated calls on one thread (the SYNPA per-quantum decision path) are
-/// allocation-free in the steady state.
-pub fn min_cost_pairing(costs: &[Vec<f64>]) -> Pairing {
-    with_shared_workspace(|ws| min_cost_pairing_in(ws, costs))
 }
 
 /// Exhaustive minimum-cost perfect pairing by dynamic programming over

@@ -2,46 +2,18 @@
 //! eight representative applications on one SMT2 core — the raw
 //! interference structure the SYNPA model has to learn.
 
-use synpa_apps::spec;
-use synpa_counters::SamplingSession;
-use synpa_sim::{Chip, ChipConfig, Slot};
+use synpa_apps::{co_run, spec};
+use synpa_sim::ChipConfig;
 
-fn ipc_pair(a: &str, b: &str) -> (f64, f64) {
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(
-        Slot(0),
-        0,
-        Box::new(spec::by_name(a).unwrap().with_length(u64::MAX)),
-    );
-    chip.attach(
-        Slot(1),
-        1,
-        Box::new(spec::by_name(b).unwrap().with_length(u64::MAX)),
-    );
-    chip.run_cycles(60_000);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0, 1]);
-    chip.run_cycles(100_000);
-    let d = s.sample(&chip, &[0, 1]);
-    (
-        d[0].1.inst_retired as f64 / d[0].1.cpu_cycles as f64,
-        d[1].1.inst_retired as f64 / d[1].1.cpu_cycles as f64,
-    )
-}
-
-fn ipc_solo(a: &str) -> f64 {
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(
-        Slot(0),
-        0,
-        Box::new(spec::by_name(a).unwrap().with_length(u64::MAX)),
-    );
-    chip.run_cycles(60_000);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0]);
-    chip.run_cycles(100_000);
-    let d = s.sample(&chip, &[0]);
-    d[0].1.inst_retired as f64 / d[0].1.cpu_cycles as f64
+/// Measured IPC of each named app co-running on one SMT core (one app:
+/// isolated), over a 100k-cycle window after a 60k-cycle warm-up.
+fn ipcs(names: &[&str]) -> Vec<f64> {
+    let apps: Vec<_> = names.iter().map(|n| spec::by_name(n).unwrap()).collect();
+    let refs: Vec<_> = apps.iter().collect();
+    co_run(&refs, &ChipConfig::thunderx2(1), 60_000, 100_000, 1)
+        .iter()
+        .map(|w| w[0].inst_retired as f64 / w[0].cpu_cycles as f64)
+        .collect()
 }
 
 fn main() {
@@ -55,7 +27,7 @@ fn main() {
         "nab_r",
         "hmmer",
     ];
-    let solos: Vec<f64> = apps.iter().map(|a| ipc_solo(a)).collect();
+    let solos: Vec<f64> = apps.iter().map(|a| ipcs(&[a])[0]).collect();
     println!(
         "{:<12} solo IPC: {:?}",
         "apps",
@@ -74,8 +46,7 @@ fn main() {
     for (i, a) in apps.iter().enumerate() {
         print!("{:<12}", a);
         for b in &apps {
-            let (ia, _) = ipc_pair(a, b);
-            print!("{:>11.2}", solos[i] / ia);
+            print!("{:>11.2}", solos[i] / ipcs(&[a, b])[0]);
         }
         println!();
     }

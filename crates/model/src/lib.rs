@@ -11,9 +11,13 @@
 //! * [`invert`] — Feliu-style model inversion recovering ST values from
 //!   SMT observations at runtime (§IV-B step 1);
 //! * [`training`] — the §IV-C pipeline: isolated profiles, all-pairs SMT
-//!   runs, instruction-count alignment, least-squares fit, held-out MSE;
-//! * [`ablation`] — the 10-category model the paper rejected and the
-//!   IBM-style 5-equation model used for the overhead comparison.
+//!   runs, instruction-count alignment, least-squares fit, held-out MSE.
+//!   Every profiling run is one `synpa_apps::co_run`, and the collectors
+//!   are generic over the per-window extractor, so the same pipeline and
+//!   the same train/held-out split serve every category set;
+//! * [`ablation`] — the 10-category extractor and model the paper
+//!   rejected (fitted through the training pipeline) and the IBM-style
+//!   5-equation model used for the overhead comparison.
 //!
 //! ```no_run
 //! use synpa_apps::spec;

@@ -29,18 +29,7 @@ impl CategoryCoeffs {
     /// Fits the coefficients by ordinary least squares on samples of
     /// `(C_st_i, C_st_j, C_smt_ij)`. Returns `None` for degenerate data.
     pub fn fit(samples: &[(f64, f64, f64)]) -> Option<Self> {
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|&(ci, cj, _)| vec![1.0, ci, cj, ci * cj])
-            .collect();
-        let y: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
-        let beta = linalg::least_squares(&rows, &y)?;
-        Some(Self {
-            alpha: beta[0],
-            beta: beta[1],
-            gamma: beta[2],
-            rho: beta[3],
-        })
+        Self::fit_subset(samples, true, true)
     }
 
     /// Fits every subset variant of Equation 1 (γ and/or ρ forced to zero)
@@ -50,41 +39,44 @@ impl CategoryCoeffs {
     /// regression model", so the training pipeline picks among these
     /// variants by held-out decision quality (see `training::fit_from_samples`).
     pub fn fit_variants(samples: &[(f64, f64, f64)]) -> Vec<Self> {
-        let mut out = Vec::with_capacity(4);
-        for (use_gamma, use_rho) in [(true, true), (false, true), (true, false), (false, false)] {
-            let rows: Vec<Vec<f64>> = samples
-                .iter()
-                .map(|&(ci, cj, _)| {
-                    let mut r = vec![1.0, ci];
-                    if use_gamma {
-                        r.push(cj);
-                    }
-                    if use_rho {
-                        r.push(ci * cj);
-                    }
-                    r
-                })
-                .collect();
-            let y: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
-            let Some(beta) = linalg::least_squares(&rows, &y) else {
-                continue;
-            };
-            let mut k = 2;
-            let gamma = if use_gamma {
-                k += 1;
-                beta[k - 1]
-            } else {
-                0.0
-            };
-            let rho = if use_rho { beta[k] } else { 0.0 };
-            out.push(Self {
-                alpha: beta[0],
-                beta: beta[1],
-                gamma,
-                rho,
-            });
-        }
-        out
+        [(true, true), (false, true), (true, false), (false, false)]
+            .into_iter()
+            .filter_map(|(use_gamma, use_rho)| Self::fit_subset(samples, use_gamma, use_rho))
+            .collect()
+    }
+
+    /// Least-squares fit of Equation 1 with γ and ρ each either kept or
+    /// forced to zero. `None` for degenerate data.
+    fn fit_subset(samples: &[(f64, f64, f64)], use_gamma: bool, use_rho: bool) -> Option<Self> {
+        let rows: Vec<Vec<f64>> = samples
+            .iter()
+            .map(|&(ci, cj, _)| {
+                let mut r = vec![1.0, ci];
+                if use_gamma {
+                    r.push(cj);
+                }
+                if use_rho {
+                    r.push(ci * cj);
+                }
+                r
+            })
+            .collect();
+        let y: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
+        let beta = linalg::least_squares(&rows, &y)?;
+        let mut k = 2;
+        let gamma = if use_gamma {
+            k += 1;
+            beta[k - 1]
+        } else {
+            0.0
+        };
+        let rho = if use_rho { beta[k] } else { 0.0 };
+        Some(Self {
+            alpha: beta[0],
+            beta: beta[1],
+            gamma,
+            rho,
+        })
     }
 
     /// Mean squared prediction error over a sample set.

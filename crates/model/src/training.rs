@@ -12,15 +12,19 @@
 //!    samples.
 //! 4. Randomly subsample quanta, fit each category's Equation-1
 //!    coefficients by least squares, and report held-out MSE.
+//!
+//! Steps 1–3 are generic over the per-window extractor that turns a
+//! counter delta into the values being modelled: the three categories
+//! here, the ten fine-grained ones in [`crate::ablation`]. Step 4's
+//! shuffle-and-split is [`holdout_split`], shared by every fit.
 
 use crate::categories::{Categories, RevealsSplit};
 use crate::regression::{CategoryCoeffs, SynpaModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_apps::{parallel_map, AppProfile};
-use synpa_counters::SamplingSession;
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
+use synpa_apps::{co_run, parallel_map, AppProfile};
+use synpa_sim::{ChipConfig, PmuDelta, ThreadProgram};
 
 /// Training hyper-parameters and simulation windows.
 #[derive(Debug, Clone)]
@@ -66,32 +70,33 @@ impl Default for TrainingConfig {
     }
 }
 
-/// The isolated-execution profile of one application.
+/// The isolated-execution profile of one application: per quantum, the
+/// values a per-window extractor derived from the counters (the three
+/// categories unless stated otherwise).
 #[derive(Debug, Clone)]
-pub struct StProfile {
+pub struct StProfile<C = Categories> {
     /// Application name.
     pub name: String,
     /// Per-quantum entries: cumulative retired instructions at quantum end,
-    /// and the quantum's categories.
-    pub quanta: Vec<(u64, Categories)>,
+    /// and the quantum's values.
+    pub quanta: Vec<(u64, C)>,
+}
+
+impl<C: Copy + Default> StProfile<C> {
+    /// Values of the quantum covering cumulative instruction `inst`.
+    /// Positions beyond the profiled span wrap around (application phases
+    /// are cyclic).
+    pub fn at(&self, inst: u64) -> C {
+        let total = self.quanta.last().map_or(0, |&(end, _)| end);
+        if total == 0 {
+            return C::default();
+        }
+        let pos = inst % total;
+        self.quanta[self.quanta.partition_point(|&(end, _)| end <= pos)].1
+    }
 }
 
 impl StProfile {
-    /// Categories of the quantum covering cumulative instruction `inst`.
-    /// Positions beyond the profiled span wrap around (application phases
-    /// are cyclic).
-    pub fn at(&self, inst: u64) -> Categories {
-        let total = self.quanta.last().map(|&(e, _)| e).unwrap_or(0);
-        if total == 0 {
-            return Categories::default();
-        }
-        let pos = inst % total;
-        match self.quanta.binary_search_by(|&(end, _)| end.cmp(&pos)) {
-            Ok(i) => self.quanta[(i + 1).min(self.quanta.len() - 1)].1,
-            Err(i) => self.quanta[i.min(self.quanta.len() - 1)].1,
-        }
-    }
-
     /// Average categories over the whole profile.
     pub fn mean(&self) -> Categories {
         if self.quanta.is_empty() {
@@ -106,29 +111,34 @@ impl StProfile {
     }
 }
 
+/// The pipeline's per-window extractor: the three categories under
+/// `cfg.split`.
+fn categories(cfg: &TrainingConfig) -> impl Fn(&PmuDelta, u32) -> Categories + Sync + '_ {
+    move |d, width| Categories::from_delta_with(d, width, cfg.split)
+}
+
 /// Records the isolated profile of `app` (§IV-C: "run in isolation and
 /// create a profile with the value of the different categories and the
 /// number of committed instructions for each quantum").
 pub fn st_profile(app: &AppProfile, cfg: &TrainingConfig) -> StProfile {
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let width = chip_cfg.core.dispatch_width;
-    let mut chip = Chip::new(chip_cfg);
-    chip.attach(Slot(0), 0, Box::new(app.clone().with_length(u64::MAX)));
-    chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0]);
-    let mut quanta = Vec::with_capacity(cfg.st_quanta);
+    profile(app, cfg, &categories(cfg))
+}
+
+/// [`st_profile`] under an arbitrary `extract(delta, dispatch_width)`.
+fn profile<C>(
+    app: &AppProfile,
+    cfg: &TrainingConfig,
+    extract: &impl Fn(&PmuDelta, u32) -> C,
+) -> StProfile<C> {
+    let width = cfg.chip.core.dispatch_width;
     let mut cum_inst = 0u64;
-    for _ in 0..cfg.st_quanta {
-        chip.run_cycles(cfg.quantum);
-        let (_, delta) = session.sample(&chip, &[0]).pop().expect("app placed");
-        cum_inst += delta.inst_retired;
-        quanta.push((
-            cum_inst,
-            Categories::from_delta_with(&delta, width, cfg.split),
-        ));
-    }
+    let quanta = co_run(&[app], &cfg.chip, cfg.warmup, cfg.quantum, cfg.st_quanta)[0]
+        .iter()
+        .map(|d| {
+            cum_inst += d.inst_retired;
+            (cum_inst, extract(d, width))
+        })
+        .collect();
     StProfile {
         name: app.name().to_string(),
         quanta,
@@ -139,71 +149,59 @@ pub fn st_profile(app: &AppProfile, cfg: &TrainingConfig) -> StProfile {
 /// of the *first* application (the second produces its own sample with the
 /// roles swapped).
 #[derive(Debug, Clone, Copy)]
-pub struct PairSample {
+pub struct PairSample<C = Categories> {
     /// Training-set index of the target application.
     pub app_i: usize,
     /// Training-set index of the co-runner.
     pub app_j: usize,
-    /// ST categories of the target application at the matching profile
+    /// ST values of the target application at the matching profile
     /// position.
-    pub st_i: Categories,
-    /// ST categories of the co-runner.
-    pub st_j: Categories,
-    /// Observed SMT categories of the target application.
-    pub smt_ij: Categories,
+    pub st_i: C,
+    /// ST values of the co-runner.
+    pub st_j: C,
+    /// Observed SMT values of the target application.
+    pub smt_ij: C,
 }
 
-/// Runs `app_i` and `app_j` together on one SMT2 core and collects one
-/// sample per thread per quantum, aligned to the ST profiles by committed
-/// instructions. The samples record `id_i` and `id_j` as the apps'
-/// training-set indices.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_pair_samples_ids(
-    app_i: &AppProfile,
-    app_j: &AppProfile,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
+/// Runs training apps `i` and `j` together on one SMT2 core and collects
+/// one sample per thread per quantum. Each window is aligned to the ST
+/// profile position of its middle instruction (the committed-instruction
+/// alignment of §IV-C).
+fn pair_samples<C: Copy + Default>(
+    apps: &[AppProfile],
+    profiles: &[StProfile<C>],
+    (i, j): (usize, usize),
     cfg: &TrainingConfig,
-    id_i: usize,
-    id_j: usize,
-) -> Vec<PairSample> {
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let width = chip_cfg.core.dispatch_width;
-    let mut chip = Chip::new(chip_cfg);
-    chip.attach(Slot(0), 0, Box::new(app_i.clone().with_length(u64::MAX)));
-    chip.attach(Slot(1), 1, Box::new(app_j.clone().with_length(u64::MAX)));
-    chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0, 1]);
+    extract: &impl Fn(&PmuDelta, u32) -> C,
+) -> Vec<PairSample<C>> {
+    let width = cfg.chip.core.dispatch_width;
+    let run = co_run(
+        &[&apps[i], &apps[j]],
+        &cfg.chip,
+        cfg.warmup,
+        cfg.quantum,
+        cfg.smt_quanta,
+    );
     let mut out = Vec::with_capacity(cfg.smt_quanta * 2);
     let (mut cum_i, mut cum_j) = (0u64, 0u64);
-    for _ in 0..cfg.smt_quanta {
-        chip.run_cycles(cfg.quantum);
-        let samples = session.sample(&chip, &[0, 1]);
-        let d_i = samples.iter().find(|(id, _)| *id == 0).unwrap().1;
-        let d_j = samples.iter().find(|(id, _)| *id == 1).unwrap().1;
-        let mid_i = cum_i + d_i.inst_retired / 2;
-        let mid_j = cum_j + d_j.inst_retired / 2;
+    for (d_i, d_j) in run[0].iter().zip(&run[1]) {
+        let st_i = profiles[i].at(cum_i + d_i.inst_retired / 2);
+        let st_j = profiles[j].at(cum_j + d_j.inst_retired / 2);
         cum_i += d_i.inst_retired;
         cum_j += d_j.inst_retired;
-        let st_i = prof_i.at(mid_i);
-        let st_j = prof_j.at(mid_j);
-        let smt_i = Categories::from_delta_with(&d_i, width, cfg.split);
-        let smt_j = Categories::from_delta_with(&d_j, width, cfg.split);
         out.push(PairSample {
-            app_i: id_i,
-            app_j: id_j,
+            app_i: i,
+            app_j: j,
             st_i,
             st_j,
-            smt_ij: smt_i,
+            smt_ij: extract(d_i, width),
         });
         out.push(PairSample {
-            app_i: id_j,
-            app_j: id_i,
+            app_i: j,
+            app_j: i,
             st_i: st_j,
             st_j: st_i,
-            smt_ij: smt_j,
+            smt_ij: extract(d_j, width),
         });
     }
     out
@@ -275,23 +273,42 @@ pub fn collect_all_samples(
     cfg: &TrainingConfig,
     threads: usize,
 ) -> Vec<PairSample> {
+    collect_all_samples_with(apps, cfg, threads, categories(cfg))
+}
+
+/// [`collect_all_samples`] under an arbitrary per-window extractor
+/// `extract(delta, dispatch_width)` (the ten-category ablation's hook).
+pub fn collect_all_samples_with<C: Copy + Default + Send + Sync>(
+    apps: &[AppProfile],
+    cfg: &TrainingConfig,
+    threads: usize,
+    extract: impl Fn(&PmuDelta, u32) -> C + Sync,
+) -> Vec<PairSample<C>> {
     // Isolated profiles (parallel over apps).
-    let profiles: Vec<StProfile> = parallel_map(apps, threads, |app| st_profile(app, cfg));
+    let profiles: Vec<StProfile<C>> =
+        parallel_map(apps, threads, |app| profile(app, cfg, &extract));
     // All unordered pairs, including (i, i): two instances of one app.
-    let mut pairs = Vec::new();
-    for i in 0..apps.len() {
-        for j in i..apps.len() {
-            pairs.push((i, j));
-        }
-    }
-    let results: Vec<Vec<PairSample>> = parallel_map(&pairs, threads, |&(i, j)| {
-        collect_pair_samples_ids(&apps[i], &apps[j], &profiles[i], &profiles[j], cfg, i, j)
+    let n = apps.len();
+    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+    let results = parallel_map(&pairs, threads, |&ij| {
+        pair_samples(apps, &profiles, ij, cfg, &extract)
     });
     results.into_iter().flatten().collect()
 }
 
-/// Fits the model from pre-collected samples: random shuffle, train/holdout
-/// split, per-category least squares, held-out MSE.
+/// The one train/held-out split every fit uses: shuffle with `cfg.seed`,
+/// then cut at `round(len · train_fraction)`, keeping at least four
+/// training rows when there are that many. Returns `(train, held_out)`.
+pub fn holdout_split<'a, T>(samples: &'a [T], cfg: &TrainingConfig) -> (Vec<&'a T>, Vec<&'a T>) {
+    let mut shuffled: Vec<&T> = samples.iter().collect();
+    shuffled.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+    let split = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
+    let held_out = shuffled.split_off(split.clamp(4.min(shuffled.len()), shuffled.len()));
+    (shuffled, held_out)
+}
+
+/// Fits the model from pre-collected samples: [`holdout_split`],
+/// per-category least squares, held-out MSE.
 pub fn fit_from_samples(
     samples: &[PairSample],
     cfg: &TrainingConfig,
@@ -299,12 +316,7 @@ pub fn fit_from_samples(
     if samples.is_empty() {
         return Err(TrainingError::NoSamples);
     }
-    let mut shuffled: Vec<&PairSample> = samples.iter().collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    shuffled.shuffle(&mut rng);
-    let split = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
-    let split = split.clamp(4.min(shuffled.len()), shuffled.len());
-    let (train_set, test_set) = shuffled.split_at(split);
+    let (train_set, test_set) = holdout_split(samples, cfg);
 
     let extract = |set: &[&PairSample], idx: usize| -> Vec<(f64, f64, f64)> {
         set.iter()
@@ -320,7 +332,7 @@ pub fn fit_from_samples(
 
     // Fit every subset variant (γ/ρ forced to zero or kept) per category.
     let variants: Vec<Vec<CategoryCoeffs>> = (0..3)
-        .map(|idx| CategoryCoeffs::fit_variants(&extract(train_set, idx)))
+        .map(|idx| CategoryCoeffs::fit_variants(&extract(&train_set, idx)))
         .collect();
     if let Some(idx) = variants.iter().position(|v| v.is_empty()) {
         return Err(TrainingError::DegenerateCategory(idx));
@@ -333,9 +345,9 @@ pub fn fit_from_samples(
     // "showing the most accurate regression model" after evaluating
     // alternatives end to end).
     let eval_set = if test_set.is_empty() {
-        train_set
+        &train_set
     } else {
-        test_set
+        &test_set
     };
     // The matcher consumes predicted *slowdowns* and trades them off across
     // applications, so the selection criterion is the held-out error of the
@@ -429,7 +441,7 @@ mod tests {
         let b = spec::by_name("nab_r").unwrap();
         let pa = st_profile(&a, &cfg);
         let pb = st_profile(&b, &cfg);
-        let samples = collect_pair_samples_ids(&a, &b, &pa, &pb, &cfg, 0, 1);
+        let samples = pair_samples(&[a, b], &[pa, pb], (0, 1), &cfg, &categories(&cfg));
         assert_eq!(samples.len(), cfg.smt_quanta * 2);
         // SMT CPI of a memory-bound app should exceed its ST CPI: running
         // with a co-runner cannot speed it up.

@@ -14,8 +14,10 @@
 //! refactor pass: a refactor of the profiling code must reproduce them.
 
 use synpa_apps::{characterize_isolated_with, spec, AppProfile};
-use synpa_model::ablation::{collect_ten_samples, fit_ten};
-use synpa_model::training::{collect_all_samples, fit_from_samples, st_profile, TrainingConfig};
+use synpa_model::ablation::{fit_ten, ten_categories};
+use synpa_model::training::{
+    collect_all_samples, collect_all_samples_with, fit_from_samples, st_profile, TrainingConfig,
+};
 use synpa_model::{Categories, CategoryCoeffs, RevealsSplit};
 
 /// FNV-1a over the little-endian bytes of every number fed to it.
@@ -145,7 +147,7 @@ fn training_proportional() {
 #[test]
 fn ten_category_ablation() {
     let cfg = tiny_cfg();
-    let samples = collect_ten_samples(&apps(), &cfg, 2);
+    let samples = collect_all_samples_with(&apps(), &cfg, 2, ten_categories);
     let report = fit_ten(&samples, &cfg);
     let mut h = Fnv::new();
     for s in &samples {

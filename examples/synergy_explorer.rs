@@ -6,49 +6,43 @@
 //! cargo run --release --example synergy_explorer            # full matrix
 //! ```
 
-use synpa::counters::SamplingSession;
+use synpa::apps::co_run;
 use synpa::prelude::*;
 use synpa::sim::ThreadProgram;
 
 const WARMUP: u64 = 60_000;
 const MEASURE: u64 = 100_000;
 
-fn solo_ipc(name: &str) -> f64 {
-    let app = spec::by_name(name).unwrap_or_else(|| die(name));
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(Slot(0), 0, Box::new(app.with_length(u64::MAX)));
-    chip.run_cycles(WARMUP);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0]);
-    chip.run_cycles(MEASURE);
-    let d = &s.sample(&chip, &[0])[0].1;
+/// Runs the named apps together on one SMT2 core (one name: alone) and
+/// returns each one's measurement-window counters.
+fn measure(names: &[&str]) -> Vec<PmuCounters> {
+    let apps: Vec<_> = names
+        .iter()
+        .map(|n| spec::by_name(n).unwrap_or_else(|| die(n)))
+        .collect();
+    let refs: Vec<_> = apps.iter().collect();
+    co_run(&refs, &ChipConfig::thunderx2(1), WARMUP, MEASURE, 1)
+        .into_iter()
+        .map(|w| w[0])
+        .collect()
+}
+
+fn ipc(d: &PmuCounters) -> f64 {
     d.inst_retired as f64 / d.cpu_cycles as f64
+}
+
+fn solo_ipc(name: &str) -> f64 {
+    ipc(&measure(&[name])[0])
 }
 
 /// Runs `a` and `b` together; returns each one's slowdown vs. solo and the
 /// measured dispatch-stall fractions.
-fn co_run(a: &str, b: &str, solo_a: f64, solo_b: f64) -> ((f64, Fractions), (f64, Fractions)) {
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(
-        Slot(0),
-        0,
-        Box::new(spec::by_name(a).unwrap().with_length(u64::MAX)),
-    );
-    chip.attach(
-        Slot(1),
-        1,
-        Box::new(spec::by_name(b).unwrap().with_length(u64::MAX)),
-    );
-    chip.run_cycles(WARMUP);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0, 1]);
-    chip.run_cycles(MEASURE);
-    let d = s.sample(&chip, &[0, 1]);
-    let width = chip.config().core.dispatch_width;
-    let ipc = |i: usize| d[i].1.inst_retired as f64 / d[i].1.cpu_cycles as f64;
+fn pair(a: &str, b: &str, solo_a: f64, solo_b: f64) -> ((f64, Fractions), (f64, Fractions)) {
+    let d = measure(&[a, b]);
+    let width = ChipConfig::thunderx2(1).core.dispatch_width;
     (
-        (solo_a / ipc(0), Fractions::from_pmu(&d[0].1, width)),
-        (solo_b / ipc(1), Fractions::from_pmu(&d[1].1, width)),
+        (solo_a / ipc(&d[0]), Fractions::from_pmu(&d[0], width)),
+        (solo_b / ipc(&d[1]), Fractions::from_pmu(&d[1], width)),
     )
 }
 
@@ -65,7 +59,7 @@ fn main() {
     match args.as_slice() {
         [a, b] => {
             let (sa, sb) = (solo_ipc(a), solo_ipc(b));
-            let ((slow_a, frac_a), (slow_b, frac_b)) = co_run(a, b, sa, sb);
+            let ((slow_a, frac_a), (slow_b, frac_b)) = pair(a, b, sa, sb);
             println!("pair {a} + {b} on one SMT2 core:");
             for (name, slow, f) in [(a, slow_a, frac_a), (b, slow_b, frac_b)] {
                 println!(
@@ -96,7 +90,7 @@ fn main() {
                         print!("{:>13}", "");
                         continue;
                     }
-                    let ((x, _), (y, _)) = co_run(a, b, solos[i], solos[j]);
+                    let ((x, _), (y, _)) = pair(a, b, solos[i], solos[j]);
                     print!("{:>13.2}", x + y);
                 }
                 println!();
