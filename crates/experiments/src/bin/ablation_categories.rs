@@ -4,7 +4,7 @@
 
 use synpa::model::ablation::{fit_ten, ten_categories, TEN_NAMES};
 use synpa::model::training::{
-    collect_all_samples, collect_all_samples_with, fit_from_samples, TrainingConfig,
+    collect_all_samples, collect_all_samples_with, fit_from_samples, holdout_split, TrainingConfig,
 };
 use synpa_experiments::{threads, training_split};
 
@@ -15,9 +15,9 @@ fn main() {
     println!("collecting 3-category training data...");
     let samples3 = collect_all_samples(&train_apps, &cfg, threads());
     let report3 = fit_from_samples(&samples3, &cfg).expect("collected samples fit");
-    // Held-out MSE of the predicted total CPI under the 3-category model.
-    let split = (samples3.len() as f64 * cfg.train_fraction) as usize;
-    let holdout = &samples3[split..];
+    // Held-out MSE of the predicted total CPI under the 3-category model,
+    // on the rows the fit held out (the same split fit_ten scores on).
+    let (_, holdout) = holdout_split(&samples3, &cfg);
     let cpi3: f64 = holdout
         .iter()
         .map(|s| {

@@ -2,7 +2,9 @@
 //! entirely to the backend, having also evaluated equal and proportional
 //! splits. Trains a model under each choice and compares held-out error.
 
-use synpa::model::training::{collect_all_samples, fit_from_samples, TrainingConfig};
+use synpa::model::training::{
+    collect_all_samples, fit_from_samples, holdout_split, TrainingConfig,
+};
 use synpa::model::RevealsSplit;
 use synpa_experiments::{threads, training_split};
 
@@ -24,9 +26,9 @@ fn main() {
         };
         let samples = collect_all_samples(&train_apps, &cfg, threads());
         let report = fit_from_samples(&samples, &cfg).expect("collected samples fit");
-        // Held-out slowdown error (what pair selection actually consumes).
-        let at = (samples.len() as f64 * cfg.train_fraction) as usize;
-        let holdout = &samples[at..];
+        // Held-out slowdown error (what pair selection actually consumes),
+        // on the rows the fit held out.
+        let (_, holdout) = holdout_split(&samples, &cfg);
         let slowdown_mse: f64 = holdout
             .iter()
             .map(|s| {
